@@ -258,7 +258,8 @@ def zero_density(
 
     Symmetry-class reduction is used unless an audit file (one line per
     permutation) is requested.  ``long_run`` must be set for n above the
-    desk cap.
+    desk cap.  ``table`` is copied to every worker and probed once per
+    evaluated permutation, so only its length-n values are ever read.
     """
     if n < 1:
         raise PermError("n must be positive")
@@ -267,7 +268,7 @@ def zero_density(
             f"n={n} is beyond the desk cap {DENSITY_DESK_CAP}; pass long_run=True"
         )
     if table is None:
-        table = build_principal_table(n - 1, pruned=pruned)
+        table = MobiusCache()
     audit = audit_file is not None
     total = math.factorial(n)
     chunks = _chunk_ranges(total)
@@ -319,15 +320,11 @@ def zero_density(
 def sweep(
     n_max: int, pruned: bool = True, workers: int = 1, long_run: bool = False
 ) -> list[CensusRow]:
-    """CensusRows for n = 1..n_max, sharing one growing Mobius table."""
-    table = MobiusCache()
-    rows = []
-    for n in range(1, n_max + 1):
-        build_principal_table(n - 1, pruned=pruned, cache=table)
-        rows.append(
-            zero_density(n, pruned=pruned, workers=workers, long_run=long_run, table=table)
-        )
-    return rows
+    """CensusRows for n = 1..n_max."""
+    return [
+        zero_density(n, pruned=pruned, workers=workers, long_run=long_run)
+        for n in range(1, n_max + 1)
+    ]
 
 
 def density_bound_report(rows: Sequence[CensusRow]) -> str:

@@ -1,28 +1,35 @@
 """Exact Mobius-function evaluation on permutation intervals and finite posets.
 
-The permutation evaluator materializes the interval once, orders it by
-length and fills values bottom-up.  An optional cache memoizes values; for
+The permutation evaluator builds the interval [sigma, pi] once, top-down by
+single-point deletion, one level per length, and fills values bottom-up:
+each element's strict down-set in the interval is a Python-int bitset, and
+mu(sigma, tau) is a popcount against the bitsets of the elements holding
+each nonzero value.  An optional cache memoizes top-level values; for
 principal intervals (lower bound 1) keys are canonicalized under the 8
 symmetries, which is sound because the principal Mobius function is
-symmetry-invariant.  Optional pruning treats rule-certified zeros in the
-interior of a principal interval as 0 without recursing; pruned and
-unpruned results are identical because every rule is sound.
+symmetry-invariant.  The ``pruned`` parameter is kept for compatibility and
+no longer changes the computation; the recursion that pruned rule-certified
+interior zeros survives as a test oracle.
 """
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .permcore import (
     DOWN_SET_CAP,
+    BudgetError,
     Embedding,
     Perm,
     PermError,
     canonical_symmetry_form,
     contains,
-    deletions,
-    down_set,
+    fmt,
 )
-from .zerorules import certify_zero
+
+# Unused here, but bench/tracing.py patches these names on this module to
+# count their calls; they stay importable until the benchmark drops them.
+from .permcore import down_set  # noqa: F401
+from .zerorules import certify_zero  # noqa: F401
 
 P1: Perm = (1,)
 
@@ -73,55 +80,111 @@ class MobiusCache:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._data)}
 
 
+def _interval(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
+    """Walk the interval [sigma, pi] bottom-up, lengths ascending.
+
+    Yields ``(tau, below)`` for each element tau, where ``below`` is the
+    bitset of the elements strictly below tau in the interval: bit k stands
+    for the k-th element yielded.  Yields nothing unless sigma <= pi.
+
+    The deletion closure of pi down to length |sigma| is built top-down once,
+    one level per length, with each element's single-point deletions kept as
+    indices into the level below.  Values then flow bottom-up with only two
+    adjacent levels of bitsets alive.  Raises BudgetError once the closure
+    passes ``cap`` elements.
+    """
+    levels: list[list[Perm]] = [[pi]]
+    edges: list[list[tuple[int, ...]]] = []
+    count = 1
+    for _ in range(len(pi) - len(sigma)):
+        index: dict[Perm, int] = {}
+        rows = []
+        for tau in levels[-1]:
+            row = set()
+            for v in tau:
+                child = tuple([x - (x > v) for x in tau if x != v])
+                k = index.get(child)
+                if k is None:
+                    count += 1
+                    if count > cap:
+                        raise BudgetError(
+                            f"interval [{fmt(sigma)}, {fmt(pi)}] exceeds cap of "
+                            f"{cap} elements"
+                        )
+                    k = index[child] = len(index)
+                row.add(k)
+            rows.append(tuple(row))
+        levels.append(list(index))
+        edges.append(rows)
+    bottom = levels.pop()
+    try:
+        start = bottom.index(sigma)
+    except ValueError:
+        return
+    # closed[k]: bitset of element k of the level below and everything under
+    # it in the interval; 0 for elements outside the interval
+    closed = [0] * len(bottom)
+    closed[start] = 1
+    yield sigma, 0
+    bit = 1
+    while levels:
+        level, rows = levels.pop(), edges.pop()
+        above = []
+        for tau, row in zip(level, rows):
+            below = 0
+            for k in row:
+                below |= closed[k]
+            if below:  # tau >= sigma iff some child is in the interval
+                yield tau, below
+                below |= 1 << bit
+                bit += 1
+            above.append(below)
+        closed = above
+
+
+def _interval_mobius(sigma: Perm, pi: Perm, cap: int) -> int:
+    """mu(sigma, pi) for sigma <= pi, by one bottom-up pass over the interval.
+
+    ``classes[v]`` is the bitset of the elements with value v != 0, so
+    mu(sigma, tau) = -sum_v v * |below(tau) & classes[v]|.
+    """
+    classes: dict[int, int] = {}
+    bit = 0
+    for _tau, below in _interval(sigma, pi, cap):
+        if below:
+            value = -sum(v * (below & m).bit_count() for v, m in classes.items())
+        else:
+            value = 1
+        if value:
+            classes[value] = classes.get(value, 0) | (1 << bit)
+        bit += 1
+    return value
+
+
 def principal_mobius(
     pi: Perm,
     pruned: bool = True,
     cache: Optional[MobiusCache] = None,
     cap: int = DOWN_SET_CAP,
 ) -> int:
-    """mu(1, pi), the principal Mobius function of a nonempty permutation."""
+    """mu(1, pi), the principal Mobius function of a nonempty permutation.
+
+    ``cache`` is probed once for pi and receives only the value of pi.
+    ``pruned`` is accepted for compatibility and no longer changes the
+    computation: every interior value comes from the one interval pass.
+    """
     if not pi:
         raise PermError("principal Mobius of the empty permutation is not defined")
-    if cache is None:
-        cache = MobiusCache()
-
-    def rec(p: Perm) -> int:
-        if len(p) == 1:
-            return 1
-        hit = cache.get(P1, p)
+    if len(pi) == 1:
+        return 1
+    if cache is not None:
+        hit = cache.get(P1, pi)
         if hit is not None:
             return hit
-        total = 0
-        for tau in down_set(p, cap):
-            if tau == p:
-                continue
-            if pruned and len(tau) >= 3 and certify_zero(tau) is not None:
-                continue
-            total += rec(tau)
-        val = -total
-        cache.put(P1, p, val)
-        return val
-
-    return rec(pi)
-
-
-def _strict_below_map(pi: Perm, cap: int) -> dict[Perm, set[Perm]]:
-    """For each tau <= pi, the set of patterns strictly below tau.
-
-    Built from the single-point-deletion closure of pi, lengths ascending.
-    """
-    elements = down_set(pi, cap)
-    below: dict[Perm, set[Perm]] = {}
-    for tau in sorted(elements, key=len):
-        if len(tau) == 1:
-            below[tau] = set()
-            continue
-        acc: set[Perm] = set()
-        for d in deletions(tau):
-            acc.add(d)
-            acc |= below[d]
-        below[tau] = acc
-    return below
+    value = _interval_mobius(P1, pi, cap)
+    if cache is not None:
+        cache.put(P1, pi, value)
+    return value
 
 
 def mobius(
@@ -133,8 +196,9 @@ def mobius(
 ) -> int:
     """mu(sigma, pi) by the definitional recursion, evaluated bottom-up.
 
-    Pruning applies only to the principal case sigma = 1, where the
-    certificate rules are stated.
+    ``cache`` is probed once for (sigma, pi) and receives only that value.
+    ``pruned`` is accepted for compatibility and no longer changes the
+    computation.
     """
     if not sigma:
         raise PermError("lower bound must be nonempty")
@@ -148,18 +212,10 @@ def mobius(
         hit = cache.get(sigma, pi)
         if hit is not None:
             return hit
-    below = _strict_below_map(pi, cap)
-    in_interval = {
-        tau for tau in below if tau == sigma or contains(sigma, tau)
-    }
-    mu: dict[Perm, int] = {sigma: 1}
-    for tau in sorted(in_interval, key=len):
-        if tau == sigma:
-            continue
-        mu[tau] = -sum(mu[lam] for lam in below[tau] if lam in mu)
-        if cache is not None:
-            cache.put(sigma, tau, mu[tau])
-    return mu[pi]
+    value = _interval_mobius(sigma, pi, cap)
+    if cache is not None:
+        cache.put(sigma, pi, value)
+    return value
 
 
 def i_switch(e: Embedding, i: int) -> Embedding:
@@ -252,12 +308,16 @@ class FinitePosetView:
             members, key=lambda z: (len(self._below[z]), self.elements.index(z))
         )
 
-    def delete(self, y: Hashable) -> "FinitePosetView":
-        remaining = [e for e in self.elements if e != y]
-        view = FinitePosetView(remaining, covers=[], validate=False)
-        for e in remaining:
-            view._below[e] = self._below[e] - {y}
+    def induced(self, elements: Iterable[Hashable]) -> "FinitePosetView":
+        """The subposet on ``elements``, kept in the given order."""
+        view = FinitePosetView(elements, covers=[], validate=False)
+        kept = set(view.elements)
+        for e in view.elements:
+            view._below[e] = self._below[e] & kept
         return view
+
+    def delete(self, y: Hashable) -> "FinitePosetView":
+        return self.induced(e for e in self.elements if e != y)
 
 
 def mobius_poset(P: FinitePosetView, x: Hashable, y: Hashable) -> int:
@@ -275,13 +335,12 @@ def mobius_poset(P: FinitePosetView, x: Hashable, y: Hashable) -> int:
 
 def interval_as_poset(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> FinitePosetView:
     """The interval [sigma, pi] of the pattern poset as a FinitePosetView."""
-    if not contains(sigma, pi):
-        return FinitePosetView([], covers=[])
-    below = _strict_below_map(pi, cap)
-    members = [tau for tau in below if tau == sigma or contains(sigma, tau)]
+    members: list[Perm] = []
+    below: dict[Perm, set[Perm]] = {}
+    for tau, bits in _interval(sigma, pi, cap):
+        below[tau] = {members[k] for k, b in enumerate(reversed(bin(bits))) if b == "1"}
+        members.append(tau)
     members.sort(key=lambda t: (len(t), t))
     view = FinitePosetView(members, covers=[], validate=False)
-    member_set = set(members)
-    for tau in members:
-        view._below[tau] = below[tau] & member_set
+    view._below = below
     return view

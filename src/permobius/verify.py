@@ -122,11 +122,10 @@ def check_pro_form(
     mu(s,p) = F(s) - sum_l mu(s,l) sum_{t>=l} F(t), for random rational F
     with F(pi) = 1.  ``corrupt`` sets F(pi) = 2 as a negative control.
     """
-    if not contains(sigma, pi):
+    P = interval_as_poset(sigma, pi)
+    interval = P.elements
+    if not interval:
         raise PreconditionError("sigma must be contained in pi")
-    interval = sorted(
-        (t for t in down_set(pi) if contains(sigma, t)), key=lambda t: (len(t), t)
-    )
     rng = random.Random(seed)
     F = {
         t: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for t in interval
@@ -139,7 +138,7 @@ def check_pro_form(
     for lam in interval:
         if lam == pi:
             continue
-        inner = sum(F[t] for t in interval if contains(lam, t))
+        inner = sum(F[t] for t in interval if P.leq(lam, t))
         rhs -= mobius(sigma, lam, cache=cache) * inner
     return lhs == rhs
 
@@ -279,14 +278,8 @@ SURVIVORS_214653 = frozenset(
 
 
 def _restricted_interval_poset(top: Perm, keep: Callable[[Perm], bool]) -> FinitePosetView:
-    members = sorted(
-        (t for t in down_set(top) if t == top or keep(t)), key=lambda t: (len(t), t)
-    )
-    view = FinitePosetView(members, covers=[], validate=False)
-    mset = set(members)
-    for t in members:
-        view._below[t] = {u for u in mset if len(u) < len(t) and contains(u, t)}
-    return view
+    P = interval_as_poset(P1, top)
+    return P.induced(t for t in P.elements if t == top or keep(t))
 
 
 def _has_symmetric_sum_split(t: Perm) -> bool:

@@ -3,11 +3,14 @@
 These deliberately avoid the library's code paths: containment is checked
 by enumerating subsequences, down-sets by enumerating all subsequences, and
 Mobius values by the definitional recursion over exact (non-canonicalized)
-keys.
+keys.  ``recursive_principal_mobius`` keeps the library's earlier principal
+evaluator as a second, independent engine.
 """
 import itertools
 
-from permobius.permcore import pattern_of
+from permobius.mobius import P1, MobiusCache
+from permobius.permcore import DOWN_SET_CAP, PermError, down_set, pattern_of
+from permobius.zerorules import certify_zero
 
 
 def brute_contains(sigma, pi):
@@ -41,3 +44,36 @@ def brute_mobius(sigma, pi, memo=None):
         val = -sum(brute_mobius(sigma, t, memo) for t in interval if t != pi)
     memo[key] = val
     return val
+
+
+def recursive_principal_mobius(pi, pruned=True, cache=None, cap=DOWN_SET_CAP):
+    """mu(1, pi) by recursion over a fresh down_set for every interior element.
+
+    With ``pruned``, rule-certified interior zeros count as 0 without
+    recursion, so comparing pruned with unpruned values checks that the zero
+    rules are sound.  Every value is memoized in ``cache`` under its
+    symmetry-canonical key.
+    """
+    if not pi:
+        raise PermError("principal Mobius of the empty permutation is not defined")
+    if cache is None:
+        cache = MobiusCache()
+
+    def rec(p):
+        if len(p) == 1:
+            return 1
+        hit = cache.get(P1, p)
+        if hit is not None:
+            return hit
+        total = 0
+        for tau in down_set(p, cap):
+            if tau == p:
+                continue
+            if pruned and len(tau) >= 3 and certify_zero(tau) is not None:
+                continue
+            total += rec(tau)
+        val = -total
+        cache.put(P1, p, val)
+        return val
+
+    return rec(pi)

