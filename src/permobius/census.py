@@ -1,6 +1,21 @@
 """Per-length census: zero densities, adjacency counts, simple-permutation stats.
 
-The density sweep evaluates one representative per orbit of the 8 symmetries
+The density sweep for length n first builds level tables of mu(1, tau) for
+every tau shorter than n, bottom-up by length, each permutation once.  The
+nonzero-valued permutations of length <= n-2 are numbered in ascending
+length and lexicographic rank; each permutation of those lengths keeps a
+closure, the Python-int bitset of the numbered permutations at or below it.
+Length n-1 keeps only each permutation's value and its children's closures.
+With ``classes[v]`` the bitset of the numbered permutations of value v, a
+permutation pi of length n has
+
+    mu(1, pi) = -sum of mu(tau) over its distinct single deletions tau
+                - sum_v v * |D & classes[v]|,
+
+where D is the OR of the closures of pi's double deletions: the value-class
+popcount of the interval engine in ``mobius.py``, with global indices.
+
+The scan evaluates one representative per orbit of the 8 symmetries
 (weighted by orbit size) and partitions S_n into fixed lexicographic-rank
 chunks, so results are byte-identical for any worker count.
 """
@@ -11,19 +26,23 @@ import json
 import math
 import multiprocessing
 import os
+import sys
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from .permcore import (
+    BudgetError,
     Perm,
     PermError,
+    deletions,
     fmt,
     is_simple,
     symmetry_orbit,
 )
-from .mobius import MobiusCache, principal_mobius
-from .zerorules import certify_zero
+from .mobius import P1, MobiusCache, principal_mobius
+from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, certify_zero
 
 #: Direct S_n scans are refused above this length.
 ADJACENCY_SCAN_CAP = 13
@@ -31,7 +50,14 @@ ADJACENCY_SCAN_CAP = 13
 #: Default cap for the density sweep; longer runs need an explicit opt-in.
 DENSITY_DESK_CAP = 9
 
-CHECKPOINT_VERSION = 1
+#: Bytes the level-table closures may take before the build gives up with
+#: BudgetError; n = 10 needs 27 MiB, n = 11 would need gigabytes.
+LEVEL_BUDGET_BYTES = 1 << 28
+
+#: Permutations per scan chunk, in lexicographic rank order.
+CHUNK_SIZE = 4096
+
+CHECKPOINT_VERSION = 2
 
 ASYMPTOTIC_LOWER_BOUND = (1 - 1 / math.e) ** 2  # ~0.39957
 
@@ -150,45 +176,136 @@ def adjacency_counts(n: int) -> tuple[int, int, int]:
 # Density sweep.
 
 
+class LevelTables:
+    """mu(1, tau) for every permutation tau shorter than ``n``, built bottom-up.
+
+    ``closures`` maps each permutation of length <= n-2 (and the empty one,
+    with closure 0) to the bitset of the nonzero-valued permutations at or
+    below it; those are numbered in ascending length, then lexicographic
+    rank.  ``top`` maps each permutation of length n-1 to its value and the
+    tuple of its children's closures.  ``classes[v]`` is the bitset of the
+    numbered permutations of value v.  Raises BudgetError once the closures
+    pass ``LEVEL_BUDGET_BYTES``.
+    """
+
+    def __init__(self, n: int) -> None:
+        if n < 1:
+            raise PermError("n must be positive")
+        self.n = n
+        self.closures: dict[Perm, int] = {(): 0}
+        self.top: dict[Perm, tuple[int, tuple[int, ...]]] = {}
+        self.classes: dict[int, int] = {}
+        closures, classes = self.closures, self.classes
+        bit = size = 0
+        for k in range(1, n):
+            for tau in itertools.permutations(range(1, k + 1)):
+                kids = tuple([closures[c] for c in deletions(tau)])
+                mu = self._value(kids) if k > 1 else 1
+                if k == n - 1:
+                    self.top[tau] = (mu, kids)
+                    continue
+                closure = 0
+                for c in kids:
+                    closure |= c
+                if mu:
+                    classes[mu] = classes.get(mu, 0) | (1 << bit)
+                    closure |= 1 << bit
+                    bit += 1
+                closures[tau] = closure
+                size += sys.getsizeof(closure)
+                if size > LEVEL_BUDGET_BYTES:
+                    raise BudgetError(
+                        f"level tables for n={n} exceed {LEVEL_BUDGET_BYTES} bytes"
+                    )
+
+    def _value(self, kids: Sequence[int], singles: int = 0) -> int:
+        # mu(1, .) of a permutation whose numbered strict down-set is the OR
+        # of ``kids`` and whose unnumbered children's values sum to ``singles``
+        below = 0
+        for c in kids:
+            below |= c
+        return -singles - sum(
+            v * (below & m).bit_count() for v, m in self.classes.items()
+        )
+
+    def get(self, sigma: Perm, pi: Perm) -> Optional[int]:
+        """The read side of the MobiusCache protocol: mu(1, pi) for
+        |pi| <= n, None otherwise, so ``principal_mobius`` can use the
+        tables as its cache."""
+        if sigma == P1 and len(pi) <= self.n:
+            return self.mobius(pi)
+        return None
+
+    def put(self, sigma: Perm, pi: Perm, value: int) -> None:
+        """Values outside the tables are not kept."""
+
+    def mobius(self, pi: Perm) -> int:
+        """mu(1, pi) for a permutation pi with 1 <= |pi| <= n."""
+        k = len(pi)
+        if k == 1:
+            return 1
+        if k < self.n:
+            return self._value([self.closures[c] for c in deletions(pi)])
+        if k != self.n:
+            raise PermError(f"level tables for n={self.n} cannot evaluate length {k}")
+        singles = 0
+        kids: list[int] = []
+        top = self.top
+        for tau in deletions(pi):
+            mu, grandkids = top[tau]
+            singles += mu
+            kids.extend(grandkids)
+        return self._value(kids, singles)
+
+
 def build_principal_table(
     n_max: int, pruned: bool = True, cache: Optional[MobiusCache] = None
 ) -> MobiusCache:
-    """Mobius cache holding mu(1, pi) for every pi with |pi| <= n_max."""
+    """Mobius cache holding mu(1, pi) for every pi with 2 <= |pi| <= n_max.
+
+    Filled from the level tables, one entry per symmetry class.  ``pruned``
+    is accepted for compatibility and changes nothing.
+    """
     if cache is None:
         cache = MobiusCache()
-    for n in range(1, n_max + 1):
+    tables = LevelTables(max(n_max, 1))
+    for n in range(2, n_max + 1):
         for pi in itertools.permutations(range(1, n + 1)):
             if pi == min(symmetry_orbit(pi)):
-                principal_mobius(pi, pruned=pruned, cache=cache)
+                cache.put(P1, pi, tables.mobius(pi))
     return cache
 
 
-def _chunk_ranges(total: int, chunk_size: int = 4096) -> list[tuple[int, int]]:
+def _chunk_ranges(total: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
     # fixed-size rank chunks, independent of worker count
     return [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
+
+
+def _fingerprint() -> str:
+    """CRC-32 of what a checkpoint's counts depend on beyond n: the rule
+    tables behind ``certified`` and the chunking."""
+    text = repr((BASE_ANNIHILATORS, ANNIHILATOR_PAIRS, CHUNK_SIZE))
+    return f"{zlib.crc32(text.encode()):08x}"
 
 
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(n: int, pruned: bool, audit: bool, cache_data: dict) -> None:
-    cache = MobiusCache()
-    cache._data = dict(cache_data)
-    _WORKER_STATE.update(n=n, pruned=pruned, audit=audit, cache=cache)
+def _worker_init(n: int, audit: bool, tables: Optional[LevelTables]) -> None:
+    _WORKER_STATE.update(n=n, audit=audit, tables=tables)
 
 
 def _scan_chunk(bounds: tuple[int, int]) -> dict:
     n = _WORKER_STATE["n"]
-    pruned = _WORKER_STATE["pruned"]
     audit = _WORKER_STATE["audit"]
-    cache: MobiusCache = _WORKER_STATE["cache"]
+    tables = _WORKER_STATE["tables"]
     lo, hi = bounds
     zeros = certified = simple = simple_nonzero = 0
     audit_lines: list[str] = []
     perms = itertools.islice(itertools.permutations(range(1, n + 1)), lo, hi)
     for pi in perms:
         if audit:
-            mu = principal_mobius(pi, pruned=pruned, cache=cache)
+            mu = principal_mobius(pi, cache=tables)
             audit_lines.append(f"{fmt(pi)}\t{mu}")
             weight = 1
         else:
@@ -196,7 +313,7 @@ def _scan_chunk(bounds: tuple[int, int]) -> dict:
             if pi != min(orbit):
                 continue
             weight = len(orbit)
-            mu = principal_mobius(pi, pruned=pruned, cache=cache)
+            mu = principal_mobius(pi, cache=tables)
         if mu == 0:
             zeros += weight
             if certify_zero(pi) is not None:
@@ -224,6 +341,7 @@ def _load_checkpoint(path: str, n: int, pruned: bool) -> dict:
         data.get("version") != CHECKPOINT_VERSION
         or data.get("n") != n
         or data.get("pruned") != pruned
+        or data.get("fingerprint") != _fingerprint()
     ):
         raise PermError(f"checkpoint {path} does not match this run")
     return {tuple(c["chunk"]): c for c in data.get("chunks", [])}
@@ -234,6 +352,7 @@ def _save_checkpoint(path: str, n: int, pruned: bool, done: dict) -> None:
         "version": CHECKPOINT_VERSION,
         "n": n,
         "pruned": pruned,
+        "fingerprint": _fingerprint(),
         "chunks": [
             {k: v for k, v in res.items() if k != "audit"} | {"chunk": list(chunk)}
             for chunk, res in sorted(done.items())
@@ -250,16 +369,19 @@ def zero_density(
     pruned: bool = True,
     workers: int = 1,
     long_run: bool = False,
-    table: Optional[MobiusCache] = None,
     audit_file: Optional[TextIO] = None,
     checkpoint: Optional[str] = None,
 ) -> CensusRow:
     """Evaluate mu(1, .) over all of S_n and aggregate into a CensusRow.
 
+    The level tables for n are built once in this process and handed to the
+    workers through the pool initializer; each value of length n then costs
+    one lookup per single deletion and a popcount per value class.
     Symmetry-class reduction is used unless an audit file (one line per
     permutation) is requested.  ``long_run`` must be set for n above the
-    desk cap.  ``table`` is copied to every worker and probed once per
-    evaluated permutation, so only its length-n values are ever read.
+    desk cap.  ``pruned`` is recorded in checkpoints and changes nothing
+    else.  Raises BudgetError when the level tables would pass
+    ``LEVEL_BUDGET_BYTES``.
     """
     if n < 1:
         raise PermError("n must be positive")
@@ -267,8 +389,6 @@ def zero_density(
         raise PermError(
             f"n={n} is beyond the desk cap {DENSITY_DESK_CAP}; pass long_run=True"
         )
-    if table is None:
-        table = MobiusCache()
     audit = audit_file is not None
     total = math.factorial(n)
     chunks = _chunk_ranges(total)
@@ -278,15 +398,16 @@ def zero_density(
     pending = [c for c in chunks if c not in done]
 
     results: dict[tuple[int, int], dict] = dict(done)
+    tables = LevelTables(n) if pending else None
     if workers <= 1 or len(pending) <= 1:
-        _worker_init(n, pruned, audit, table._data)
+        _worker_init(n, audit, tables)
         for c in pending:
             results[c] = _scan_chunk(c)
             if checkpoint:
                 _save_checkpoint(checkpoint, n, pruned, results)
     else:
         with multiprocessing.Pool(
-            workers, initializer=_worker_init, initargs=(n, pruned, audit, table._data)
+            workers, initializer=_worker_init, initargs=(n, audit, tables)
         ) as pool:
             for res in pool.imap_unordered(_scan_chunk, pending):
                 results[tuple(res["chunk"])] = res

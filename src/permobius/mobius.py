@@ -169,7 +169,9 @@ def principal_mobius(
 ) -> int:
     """mu(1, pi), the principal Mobius function of a nonempty permutation.
 
-    ``cache`` is probed once for pi and receives only the value of pi.
+    ``cache`` is probed once for pi and receives only the value of pi; any
+    object with MobiusCache's ``get`` and ``put`` will do, such as the
+    census level tables.
     ``pruned`` is accepted for compatibility and no longer changes the
     computation: every interior value comes from the one interval pass.
     """

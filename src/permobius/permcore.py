@@ -174,7 +174,8 @@ def contains(sigma: Perm, pi: Perm) -> bool:
 
 def deletions(pi: Perm) -> set[Perm]:
     """Distinct patterns obtained by deleting one point of pi."""
-    return {pattern_of(pi[:i] + pi[i + 1 :]) for i in range(len(pi))}
+    # deleting value v shifts every larger value down by one
+    return {tuple([x - (x > v) for x in pi if x != v]) for v in pi}
 
 
 def down_set(pi: Perm, cap: int = DOWN_SET_CAP) -> set[Perm]:
@@ -415,10 +416,23 @@ def compose_symmetries(g: str, h: str) -> str:
     return _TRIPLE_LABEL[_compose_triples(_TRIPLES[g], _TRIPLES[h])]
 
 
+def _symmetric_images(pi: Perm) -> tuple[Perm, ...]:
+    # one inverse; reverses and complements of pi and of it by slicing
+    n1 = len(pi) + 1
+    inverse = [0] * len(pi)
+    for p, v in enumerate(pi, start=1):
+        inverse[v - 1] = p
+    inv = tuple(inverse)
+    c = tuple([n1 - v for v in pi])
+    ic = tuple([n1 - v for v in inv])
+    return (pi, pi[::-1], c, c[::-1], inv, inv[::-1], ic, ic[::-1])
+
+
 def symmetry_orbit(pi: Perm) -> set[Perm]:
-    return {apply_symmetry(g, pi) for g in SYMMETRY_LABELS}
+    """The distinct images of pi under the 8 symmetries."""
+    return set(_symmetric_images(pi))
 
 
 def canonical_symmetry_form(pi: Perm) -> Perm:
     """The lexicographically least of the 8 symmetric images of pi."""
-    return min(apply_symmetry(g, pi) for g in SYMMETRY_LABELS)
+    return min(_symmetric_images(pi))

@@ -51,14 +51,14 @@ def report(criterion, text):
     print(f"PASS criterion {criterion}: {text}")
 
 
-def test_criterion_1_table1_densities(mu_table8):
+def test_criterion_1_table1_densities():
     start = time.monotonic()
     for n in range(1, 8):
-        row = zero_density(n, table=mu_table8)
+        row = zero_density(n)
         assert row.density_str == EXPECTED_DENSITIES[n], f"n={n}"
     assert time.monotonic() - start < 60
     start = time.monotonic()
-    row8 = zero_density(8, table=mu_table8)
+    row8 = zero_density(8)
     assert row8.density_str == EXPECTED_DENSITIES[8]
     assert time.monotonic() - start < 900
     report(1, "densities n=1..8 match 0.0000..0.5942; runtime within budget")
@@ -82,7 +82,7 @@ def test_criterion_3_adjacency_counts():
     report(3, "a_n and b_n scans match the recurrences for n = 1..7; s_n identity exact")
 
 
-def test_criterion_4_lower_bound(mu_table8):
+def test_criterion_4_lower_bound():
     limit = (1 - 1 / math.e) ** 2  # ~0.39957
     prev_ratio = -1.0
     for n in range(1, 11):
@@ -92,7 +92,7 @@ def test_criterion_4_lower_bound(mu_table8):
         assert ratio >= prev_ratio
         prev_ratio = ratio
         if n <= 8:
-            row = zero_density(n, table=mu_table8)
+            row = zero_density(n)
             assert row.density >= s / math.factorial(n)
     assert abs(prev_ratio - 0.3996) < 0.12  # approaching from below over n <= 10
     report(4, "d_n >= s_n/n! for n <= 8; s_n/n! increases toward 0.3996 from below")

@@ -1,20 +1,26 @@
+import itertools
 import json
 import math
+import os
 
 import pytest
 
 from permobius import (
+    BudgetError,
     CensusRow,
     PermError,
     adjacency_counts,
     count_adjacency_classes,
     density_bound_report,
     emit_table,
+    principal_mobius,
     render_density,
     sweep,
     zero_density,
 )
+from permobius import census
 from permobius.census import (
+    LevelTables,
     adjacency_free_recurrence,
     build_principal_table,
     no_up_adjacency_recurrence,
@@ -80,29 +86,29 @@ class TestRenderDensity:
 
 
 class TestZeroDensity:
-    def test_small_rows(self, mu_table7):
+    def test_small_rows(self):
         for n in range(1, 8):
-            row = zero_density(n, table=mu_table7)
+            row = zero_density(n)
             assert row.density_str == DENSITIES[n]
             assert row.total == math.factorial(n)
             assert row.certified_count <= row.zero_count
             assert row.a_n == A_SEQ[n - 1] and row.b_n == B_SEQ[n - 1]
             assert row.s_n == math.factorial(n) - 2 * row.a_n + row.b_n
 
-    def test_worker_count_invariance(self, mu_table7):
-        rows = [zero_density(6, workers=w, table=mu_table7) for w in (1, 2, 3)]
+    def test_worker_count_invariance(self):
+        rows = [zero_density(6, workers=w) for w in (1, 2, 3)]
         assert len({(r.zero_count, r.certified_count, r.simple_count) for r in rows}) == 1
 
-    def test_simple_counts(self, mu_table7):
+    def test_simple_counts(self):
         # 2413 and 3142 are the only simple permutations of length 4
-        row = zero_density(4, table=mu_table7)
+        row = zero_density(4)
         assert row.simple_count == 2
         assert row.simple_nonzero_count == 2
 
-    def test_audit_file(self, tmp_path, mu_table7):
+    def test_audit_file(self, tmp_path):
         path = tmp_path / "audit.tsv"
         with path.open("w") as fh:
-            row = zero_density(5, table=mu_table7, audit_file=fh)
+            row = zero_density(5, audit_file=fh)
         lines = path.read_text().splitlines()
         assert len(lines) == 120
         zeros = sum(1 for ln in lines if ln.split("\t")[1] == "0")
@@ -112,20 +118,79 @@ class TestZeroDensity:
             assert len(perm_text) == 5
             int(mu)
 
-    def test_checkpoint_roundtrip(self, tmp_path, mu_table7):
+    def test_checkpoint_roundtrip(self, tmp_path):
         ck = tmp_path / "ck.json"
-        full = zero_density(6, table=mu_table7)
-        resumed = zero_density(6, table=mu_table7, checkpoint=str(ck))
+        full = zero_density(6)
+        resumed = zero_density(6, checkpoint=str(ck))
         assert (resumed.zero_count, resumed.total) == (full.zero_count, full.total)
         # a second run resumes from the completed checkpoint
-        again = zero_density(6, table=mu_table7, checkpoint=str(ck))
+        again = zero_density(6, checkpoint=str(ck))
         assert again.zero_count == full.zero_count
 
-    def test_checkpoint_version_rejected(self, tmp_path, mu_table7):
+    def test_checkpoint_version_rejected(self, tmp_path):
         ck = tmp_path / "ck.json"
         ck.write_text(json.dumps({"version": 99, "n": 6}))
         with pytest.raises(PermError):
-            zero_density(6, table=mu_table7, checkpoint=str(ck))
+            zero_density(6, checkpoint=str(ck))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("BASE_ANNIHILATORS", census.BASE_ANNIHILATORS[:-1]),
+            ("ANNIHILATOR_PAIRS", census.ANNIHILATOR_PAIRS[:-1]),
+            ("CHUNK_SIZE", 2048),
+        ],
+    )
+    def test_checkpoint_fingerprint_rejected(self, tmp_path, monkeypatch, name, value):
+        # a checkpoint written under other rule tables or chunking must not resume
+        ck = tmp_path / "ck.json"
+        zero_density(6, checkpoint=str(ck))
+        monkeypatch.setattr(census, name, value)
+        with pytest.raises(PermError, match="does not match"):
+            zero_density(6, checkpoint=str(ck))
+
+    def test_level_budget(self, monkeypatch):
+        monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", 64)
+        with pytest.raises(BudgetError):
+            zero_density(6)
+
+    def test_audit_lines_match_principal_mobius(self, tmp_path):
+        path = tmp_path / "audit.tsv"
+        with path.open("w") as fh:
+            zero_density(6, workers=2, audit_file=fh)
+        lines = path.read_text().splitlines()
+        expected = [
+            f"{''.join(map(str, pi))}\t{principal_mobius(pi)}"
+            for pi in itertools.permutations(range(1, 7))
+        ]
+        assert lines == expected
+
+    @pytest.mark.skipif(
+        os.environ.get("PERMOBIUS_STRETCH") != "1",
+        reason="stretch; set PERMOBIUS_STRETCH=1 to run (about 10 s on one worker)",
+    )
+    def test_n9_row(self):
+        row = emit_table([zero_density(9)], format="csv").splitlines()[1]
+        assert row == "9,362880,218434,0.6019,160862,148329,47622,113844,28146,27766"
+
+
+class TestLevelTables:
+    def test_matches_principal_mobius_exhaustive(self):
+        # every length-n value through the census path (single and double
+        # deletions), and every shorter one through the closures
+        tables = {n: LevelTables(n) for n in range(1, 8)}
+        checked = 0
+        for n in range(1, 8):
+            for pi in itertools.permutations(range(1, n + 1)):
+                mu = principal_mobius(pi)
+                assert tables[n].mobius(pi) == mu, pi
+                assert tables[7].mobius(pi) == mu, pi
+                checked += 1
+        assert checked == 5913
+
+    def test_rejects_longer_permutations(self):
+        with pytest.raises(PermError):
+            LevelTables(4).mobius((1, 2, 3, 4, 5))
 
 
 class TestSweep:
@@ -136,13 +201,13 @@ class TestSweep:
 
 
 class TestBoundReport:
-    def test_consistent(self, mu_table7):
-        rows = [zero_density(n, table=mu_table7) for n in range(1, 8)]
+    def test_consistent(self):
+        rows = [zero_density(n) for n in range(1, 8)]
         report = density_bound_report(rows)
         assert "IMPOSSIBLE" not in report
 
-    def test_tripwire(self, mu_table7):
-        row = zero_density(6, table=mu_table7)
+    def test_tripwire(self):
+        row = zero_density(6)
         fake = CensusRow(
             n=row.n,
             total=row.total,
@@ -158,26 +223,26 @@ class TestBoundReport:
 
 
 class TestEmit:
-    def test_csv(self, mu_table7):
-        rows = [zero_density(n, table=mu_table7) for n in (1, 2, 3)]
+    def test_csv(self):
+        rows = [zero_density(n) for n in (1, 2, 3)]
         text = emit_table(rows, format="csv")
         lines = text.splitlines()
         assert lines[0].startswith("n,")
         assert lines[3].split(",")[:3] == ["3", "6", "2"]
 
-    def test_json(self, mu_table7):
-        rows = [zero_density(3, table=mu_table7)]
+    def test_json(self):
+        rows = [zero_density(3)]
         data = json.loads(emit_table(rows, format="json"))
         assert data[0]["n"] == 3
         assert data[0]["density"] == "0.3333"
 
-    def test_text(self, mu_table7):
-        rows = [zero_density(3, table=mu_table7)]
+    def test_text(self):
+        rows = [zero_density(3)]
         assert "0.3333" in emit_table(rows, format="text")
 
-    def test_bad_format(self, mu_table7):
+    def test_bad_format(self):
         with pytest.raises(PermError):
-            emit_table([zero_density(1, table=mu_table7)], format="xml")
+            emit_table([zero_density(1)], format="xml")
 
 
 class TestPrincipalTable:

@@ -1,5 +1,6 @@
 import json
 
+from permobius import census
 from permobius.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_VERIFY, main
 
 
@@ -86,6 +87,12 @@ class TestCensus:
         code, _, err = run(capsys, "census", "--n", "10")
         assert code == EXIT_DOMAIN
         assert "error:" in err
+
+    def test_level_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", 64)
+        code, out, err = run(capsys, "census", "--n", "6")
+        assert code == EXIT_BUDGET
+        assert err.startswith("error:") and out == ""
 
 
 class TestVerify:

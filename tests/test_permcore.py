@@ -11,6 +11,7 @@ from permobius import (
     SYMMETRY_LABELS,
     adjacencies,
     apply_symmetry,
+    canonical_symmetry_form,
     compose,
     compose_symmetries,
     contains,
@@ -28,6 +29,7 @@ from permobius import (
     pattern_of,
     perm,
     skew_sum,
+    symmetry_orbit,
 )
 from oracles import brute_contains, brute_down_set
 
@@ -355,6 +357,13 @@ class TestSymmetry:
     def test_involutions(self, pi):
         for g in ("r", "c", "i"):
             assert apply_symmetry(g, apply_symmetry(g, pi)) == pi
+
+    def test_orbit_and_canonical_form_match_labelled_symmetries(self):
+        # the slicing shortcut against the 8 labelled maps, exhaustively
+        for pi in perms_up_to(8):
+            images = {apply_symmetry(g, pi) for g in SYMMETRY_LABELS}
+            assert symmetry_orbit(pi) == images, pi
+            assert canonical_symmetry_form(pi) == min(images), pi
 
 
 class TestSimple:
