@@ -30,6 +30,7 @@ from .permcore import (
     pattern_of,
     perm,
     skew_sum,
+    symmetric_images,
     symmetry_orbit,
 )
 from .mobius import (

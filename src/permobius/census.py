@@ -57,7 +57,8 @@ LEVEL_BUDGET_BYTES = 1 << 28
 #: Permutations per scan chunk, in lexicographic rank order.
 CHUNK_SIZE = 4096
 
-CHECKPOINT_VERSION = 2
+#: Version 3 dropped the ``pruned`` field; older checkpoints do not resume.
+CHECKPOINT_VERSION = 3
 
 ASYMPTOTIC_LOWER_BOUND = (1 - 1 / math.e) ** 2  # ~0.39957
 
@@ -258,13 +259,10 @@ class LevelTables:
         return self._value(kids, singles)
 
 
-def build_principal_table(
-    n_max: int, pruned: bool = True, cache: Optional[MobiusCache] = None
-) -> MobiusCache:
+def build_principal_table(n_max: int, cache: Optional[MobiusCache] = None) -> MobiusCache:
     """Mobius cache holding mu(1, pi) for every pi with 2 <= |pi| <= n_max.
 
-    Filled from the level tables, one entry per symmetry class.  ``pruned``
-    is accepted for compatibility and changes nothing.
+    Filled from the level tables, one entry per symmetry class.
     """
     if cache is None:
         cache = MobiusCache()
@@ -332,7 +330,7 @@ def _scan_chunk(bounds: tuple[int, int]) -> dict:
     }
 
 
-def _load_checkpoint(path: str, n: int, pruned: bool) -> dict:
+def _load_checkpoint(path: str, n: int) -> dict:
     if not path or not os.path.exists(path):
         return {}
     with open(path) as fh:
@@ -340,18 +338,16 @@ def _load_checkpoint(path: str, n: int, pruned: bool) -> dict:
     if (
         data.get("version") != CHECKPOINT_VERSION
         or data.get("n") != n
-        or data.get("pruned") != pruned
         or data.get("fingerprint") != _fingerprint()
     ):
         raise PermError(f"checkpoint {path} does not match this run")
     return {tuple(c["chunk"]): c for c in data.get("chunks", [])}
 
 
-def _save_checkpoint(path: str, n: int, pruned: bool, done: dict) -> None:
+def _save_checkpoint(path: str, n: int, done: dict) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,
         "n": n,
-        "pruned": pruned,
         "fingerprint": _fingerprint(),
         "chunks": [
             {k: v for k, v in res.items() if k != "audit"} | {"chunk": list(chunk)}
@@ -366,7 +362,6 @@ def _save_checkpoint(path: str, n: int, pruned: bool, done: dict) -> None:
 
 def zero_density(
     n: int,
-    pruned: bool = True,
     workers: int = 1,
     long_run: bool = False,
     audit_file: Optional[TextIO] = None,
@@ -379,8 +374,7 @@ def zero_density(
     one lookup per single deletion and a popcount per value class.
     Symmetry-class reduction is used unless an audit file (one line per
     permutation) is requested.  ``long_run`` must be set for n above the
-    desk cap.  ``pruned`` is recorded in checkpoints and changes nothing
-    else.  Raises BudgetError when the level tables would pass
+    desk cap.  Raises BudgetError when the level tables would pass
     ``LEVEL_BUDGET_BYTES``.
     """
     if n < 1:
@@ -392,7 +386,7 @@ def zero_density(
     audit = audit_file is not None
     total = math.factorial(n)
     chunks = _chunk_ranges(total)
-    done = _load_checkpoint(checkpoint, n, pruned) if checkpoint else {}
+    done = _load_checkpoint(checkpoint, n) if checkpoint else {}
     if audit and done:
         raise PermError("checkpoint resume cannot replay audit lines; rerun fresh")
     pending = [c for c in chunks if c not in done]
@@ -404,7 +398,7 @@ def zero_density(
         for c in pending:
             results[c] = _scan_chunk(c)
             if checkpoint:
-                _save_checkpoint(checkpoint, n, pruned, results)
+                _save_checkpoint(checkpoint, n, results)
     else:
         with multiprocessing.Pool(
             workers, initializer=_worker_init, initargs=(n, audit, tables)
@@ -412,7 +406,7 @@ def zero_density(
             for res in pool.imap_unordered(_scan_chunk, pending):
                 results[tuple(res["chunk"])] = res
                 if checkpoint:
-                    _save_checkpoint(checkpoint, n, pruned, results)
+                    _save_checkpoint(checkpoint, n, results)
 
     zeros = certified = simple = simple_nonzero = 0
     for chunk in chunks:  # deterministic aggregation order by rank range
@@ -438,12 +432,10 @@ def zero_density(
     )
 
 
-def sweep(
-    n_max: int, pruned: bool = True, workers: int = 1, long_run: bool = False
-) -> list[CensusRow]:
+def sweep(n_max: int, workers: int = 1, long_run: bool = False) -> list[CensusRow]:
     """CensusRows for n = 1..n_max."""
     return [
-        zero_density(n, pruned=pruned, workers=workers, long_run=long_run)
+        zero_density(n, workers=workers, long_run=long_run)
         for n in range(1, n_max + 1)
     ]
 

@@ -33,6 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
+    # --no-prune (mu, pmu, census) is still accepted and changes nothing: the
+    # evaluator computes interior zeros like every other value.
     p = sub.add_parser("mu", help="print mu(sigma, pi)")
     p.add_argument("sigma")
     p.add_argument("pi")
@@ -89,10 +91,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "mu":
         sigma, pi = parse(args.sigma), parse(args.pi)
-        print(mobius(sigma, pi, pruned=not args.no_prune))
+        print(mobius(sigma, pi))
         return EXIT_OK
     if args.command == "pmu":
-        print(principal_mobius(parse(args.pi), pruned=not args.no_prune))
+        print(principal_mobius(parse(args.pi)))
         return EXIT_OK
     if args.command == "zero":
         cert = certify_zero(parse(args.pi))
@@ -115,7 +117,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         try:
             row = zero_density(
                 args.n,
-                pruned=not args.no_prune,
                 workers=args.workers,
                 long_run=args.long_run,
                 audit_file=audit_fh,

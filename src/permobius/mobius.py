@@ -7,9 +7,9 @@ mu(sigma, tau) is a popcount against the bitsets of the elements holding
 each nonzero value.  An optional cache memoizes top-level values; for
 principal intervals (lower bound 1) keys are canonicalized under the 8
 symmetries, which is sound because the principal Mobius function is
-symmetry-invariant.  The ``pruned`` parameter is kept for compatibility and
-no longer changes the computation; the recursion that pruned rule-certified
-interior zeros survives as a test oracle.
+symmetry-invariant.  Interior zeros are computed like every other value;
+the earlier recursion that skipped rule-certified zeros survives as a test
+oracle.
 """
 from __future__ import annotations
 
@@ -17,13 +17,12 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .permcore import (
     DOWN_SET_CAP,
-    BudgetError,
     Embedding,
     Perm,
     PermError,
     canonical_symmetry_form,
     contains,
-    fmt,
+    deletion_levels,
 )
 
 # Unused here, but bench/tracing.py patches these names on this module to
@@ -87,35 +86,12 @@ def _interval(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
     bitset of the elements strictly below tau in the interval: bit k stands
     for the k-th element yielded.  Yields nothing unless sigma <= pi.
 
-    The deletion closure of pi down to length |sigma| is built top-down once,
-    one level per length, with each element's single-point deletions kept as
-    indices into the level below.  Values then flow bottom-up with only two
-    adjacent levels of bitsets alive.  Raises BudgetError once the closure
-    passes ``cap`` elements.
+    The deletion closure of pi down to length |sigma| comes from
+    ``deletion_levels``; values then flow bottom-up with only two adjacent
+    levels of bitsets alive.  Raises BudgetError once the closure passes
+    ``cap`` elements.
     """
-    levels: list[list[Perm]] = [[pi]]
-    edges: list[list[tuple[int, ...]]] = []
-    count = 1
-    for _ in range(len(pi) - len(sigma)):
-        index: dict[Perm, int] = {}
-        rows = []
-        for tau in levels[-1]:
-            row = set()
-            for v in tau:
-                child = tuple([x - (x > v) for x in tau if x != v])
-                k = index.get(child)
-                if k is None:
-                    count += 1
-                    if count > cap:
-                        raise BudgetError(
-                            f"interval [{fmt(sigma)}, {fmt(pi)}] exceeds cap of "
-                            f"{cap} elements"
-                        )
-                    k = index[child] = len(index)
-                row.add(k)
-            rows.append(tuple(row))
-        levels.append(list(index))
-        edges.append(rows)
+    levels, edges = deletion_levels(pi, len(sigma), cap)
     bottom = levels.pop()
     try:
         start = bottom.index(sigma)
@@ -172,8 +148,9 @@ def principal_mobius(
     ``cache`` is probed once for pi and receives only the value of pi; any
     object with MobiusCache's ``get`` and ``put`` will do, such as the
     census level tables.
-    ``pruned`` is accepted for compatibility and no longer changes the
-    computation: every interior value comes from the one interval pass.
+    ``pruned`` changes nothing: every interior value comes from the one
+    interval pass.  It stays only because the benchmark's cross-check
+    (``bench/run.py``) passes ``pruned=False``.
     """
     if not pi:
         raise PermError("principal Mobius of the empty permutation is not defined")
@@ -193,14 +170,11 @@ def mobius(
     sigma: Perm,
     pi: Perm,
     cache: Optional[MobiusCache] = None,
-    pruned: bool = False,
     cap: int = DOWN_SET_CAP,
 ) -> int:
     """mu(sigma, pi) by the definitional recursion, evaluated bottom-up.
 
     ``cache`` is probed once for (sigma, pi) and receives only that value.
-    ``pruned`` is accepted for compatibility and no longer changes the
-    computation.
     """
     if not sigma:
         raise PermError("lower bound must be nonempty")
@@ -209,7 +183,7 @@ def mobius(
     if not contains(sigma, pi):
         return 0
     if sigma == P1:
-        return principal_mobius(pi, pruned=pruned, cache=cache, cap=cap)
+        return principal_mobius(pi, cache=cache, cap=cap)
     if cache is not None:
         hit = cache.get(sigma, pi)
         if hit is not None:

@@ -8,7 +8,7 @@ workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Perm = tuple[int, ...]
 
@@ -113,32 +113,46 @@ class Embedding:
         return len(self.image) % 2 == 0
 
 
-def embeddings(sigma: Perm, pi: Perm) -> list[Embedding]:
-    """All embeddings of sigma into pi, ordered lexicographically by image."""
-    if not sigma:
-        raise PermError("embeddings of the empty permutation are not defined")
+def _search(
+    sigma: Perm, pi: Perm, found: Callable[[list[int]], Optional[bool]]
+) -> bool:
+    """Backtrack over the images of sigma in pi, lexicographically.
+
+    Calls ``found`` with the 1-based positions of each full image (a list
+    reused between calls) and stops, returning True, at the first call that
+    returns a true value; returns False if none does.  Requires
+    1 <= |sigma| <= |pi|.
+    """
     k, n = len(sigma), len(pi)
-    out: list[Embedding] = []
-    if k > n:
-        return out
     chosen = [0] * k
 
-    def extend(t: int, start: int) -> None:
+    def extend(t: int, start: int) -> Optional[bool]:
         if t == k:
-            out.append(Embedding(pi, tuple(chosen)))
-            return
+            return found(chosen)
+        s = sigma[t]
         for p in range(start, n - (k - t) + 2):
             v = pi[p - 1]
             ok = True
             for u in range(t):
-                if (sigma[t] < sigma[u]) != (v < pi[chosen[u] - 1]):
+                if (s < sigma[u]) != (v < pi[chosen[u] - 1]):
                     ok = False
                     break
             if ok:
                 chosen[t] = p
-                extend(t + 1, p + 1)
+                if extend(t + 1, p + 1):
+                    return True
+        return False
 
-    extend(0, 1)
+    return extend(0, 1)  # never a leaf, since |sigma| >= 1
+
+
+def embeddings(sigma: Perm, pi: Perm) -> list[Embedding]:
+    """All embeddings of sigma into pi, ordered lexicographically by image."""
+    if not sigma:
+        raise PermError("embeddings of the empty permutation are not defined")
+    out: list[Embedding] = []
+    if len(sigma) <= len(pi):
+        _search(sigma, pi, lambda image: out.append(Embedding(pi, tuple(image))))
     return out
 
 
@@ -151,25 +165,7 @@ def contains(sigma: Perm, pi: Perm) -> bool:
         return False
     if sigma == pi:
         return True
-    chosen = [0] * k
-
-    def extend(t: int, start: int) -> bool:
-        if t == k:
-            return True
-        for p in range(start, n - (k - t) + 2):
-            v = pi[p - 1]
-            ok = True
-            for u in range(t):
-                if (sigma[t] < sigma[u]) != (v < pi[chosen[u] - 1]):
-                    ok = False
-                    break
-            if ok:
-                chosen[t] = p
-                if extend(t + 1, p + 1):
-                    return True
-        return False
-
-    return extend(0, 1)
+    return _search(sigma, pi, lambda image: True)
 
 
 def deletions(pi: Perm) -> set[Perm]:
@@ -178,31 +174,53 @@ def deletions(pi: Perm) -> set[Perm]:
     return {tuple([x - (x > v) for x in pi if x != v]) for v in pi}
 
 
+def deletion_levels(
+    pi: Perm, length: int, cap: int = DOWN_SET_CAP
+) -> tuple[list[list[Perm]], list[list[tuple[int, ...]]]]:
+    """The patterns of pi of every length from |pi| down to ``length``.
+
+    Built top-down by single-point deletion, one level per length:
+    ``levels[d]`` lists the distinct patterns of length |pi| - d, and
+    ``edges[d][j]`` holds the indices into ``levels[d + 1]`` of the single
+    deletions of ``levels[d][j]``.  Raises BudgetError once the levels
+    together pass ``cap`` elements.
+    """
+    levels: list[list[Perm]] = [[pi]]
+    edges: list[list[tuple[int, ...]]] = []
+    count = 1
+    for _ in range(len(pi) - length):
+        index: dict[Perm, int] = {}
+        rows = []
+        for tau in levels[-1]:
+            row = set()
+            for v in tau:
+                child = tuple([x - (x > v) for x in tau if x != v])
+                k = index.get(child)
+                if k is None:
+                    count += 1
+                    if count > cap:
+                        raise BudgetError(
+                            f"deletion closure of {fmt(pi)} down to length "
+                            f"{length} exceeds cap of {cap} elements"
+                        )
+                    k = index[child] = len(index)
+                row.add(k)
+            rows.append(tuple(row))
+        levels.append(list(index))
+        edges.append(rows)
+    return levels, edges
+
+
 def down_set(pi: Perm, cap: int = DOWN_SET_CAP) -> set[Perm]:
     """All nonempty patterns contained in pi (the interval [1, pi] as a set).
 
-    Computed by iterated single-point deletion with deduplication.  Raises
-    BudgetError when the set would exceed ``cap`` elements.
+    The union of ``deletion_levels(pi, 1, cap)``; raises BudgetError when the
+    set would exceed ``cap`` elements.
     """
     if not pi:
         raise PermError("down_set of the empty permutation is not defined")
-    seen: set[Perm] = {pi}
-    frontier = [pi]
-    while frontier:
-        nxt: list[Perm] = []
-        for tau in frontier:
-            if len(tau) == 1:
-                continue
-            for d in deletions(tau):
-                if d not in seen:
-                    seen.add(d)
-                    if len(seen) > cap:
-                        raise BudgetError(
-                            f"down_set of {fmt(pi)} exceeds cap of {cap} elements"
-                        )
-                    nxt.append(d)
-        frontier = nxt
-    return seen
+    levels, _ = deletion_levels(pi, 1, cap)
+    return {tau for level in levels for tau in level}
 
 
 def interval_set(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> set[Perm]:
@@ -351,73 +369,20 @@ def is_simple(pi: Perm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The 8 symmetries generated by reverse, complement and inverse.
+# The 8 symmetries generated by reverse (r), complement (c) and inverse (i).
 #
-# Internally an element is a triple (swap, flip_pos, flip_val) acting on the
-# plot of a permutation: swap exchanges the position/value axes (inverse),
-# then flip_pos mirrors positions (reverse) and flip_val mirrors values
-# (complement).  Every group element has a unique such form.
+# A label applies its steps left to right.  Reverse and complement commute,
+# so every group element is the identity or the inverse, optionally followed
+# by reverse and/or complement: one inverse per permutation, the rest by
+# slicing and relabelling.
 
 SYMMETRY_LABELS = ("id", "r", "c", "rc", "i", "ir", "ic", "irc")
 
-_GENERATORS = {
-    "r": (False, True, False),
-    "c": (False, False, True),
-    "i": (True, False, False),
-}
-
-_IDENTITY = (False, False, False)
+_LABEL_INDEX = {label: k for k, label in enumerate(SYMMETRY_LABELS)}
 
 
-def _compose_triples(t1, t2):
-    # action: t1 first, then t2
-    s1, x1, y1 = t1
-    s2, x2, y2 = t2
-    if s2:
-        x1, y1 = y1, x1
-    return (s1 ^ s2, x1 ^ x2, y1 ^ y2)
-
-
-def _label_triple(label: str):
-    if label == "id":
-        return _IDENTITY
-    t = _IDENTITY
-    for ch in label:
-        t = _compose_triples(t, _GENERATORS[ch])
-    return t
-
-
-_TRIPLES = {label: _label_triple(label) for label in SYMMETRY_LABELS}
-_TRIPLE_LABEL = {t: label for label, t in _TRIPLES.items()}
-assert len(_TRIPLE_LABEL) == 8
-
-
-def apply_symmetry(label: str, pi: Perm) -> Perm:
-    """Apply a symmetry (one of SYMMETRY_LABELS, steps applied in label order)."""
-    if label not in _TRIPLES:
-        raise PermError(f"unknown symmetry {label!r}")
-    swap, fx, fy = _TRIPLES[label]
-    n = len(pi)
-    out = [0] * n
-    for p, v in enumerate(pi, start=1):
-        pp, vv = (v, p) if swap else (p, v)
-        if fx:
-            pp = n + 1 - pp
-        if fy:
-            vv = n + 1 - vv
-        out[pp - 1] = vv
-    return tuple(out)
-
-
-def compose_symmetries(g: str, h: str) -> str:
-    """The label of "apply g, then h"."""
-    if g not in _TRIPLES or h not in _TRIPLES:
-        raise PermError(f"unknown symmetry in ({g!r}, {h!r})")
-    return _TRIPLE_LABEL[_compose_triples(_TRIPLES[g], _TRIPLES[h])]
-
-
-def _symmetric_images(pi: Perm) -> tuple[Perm, ...]:
-    # one inverse; reverses and complements of pi and of it by slicing
+def symmetric_images(pi: Perm) -> tuple[Perm, ...]:
+    """The images of pi under the 8 symmetries, in SYMMETRY_LABELS order."""
     n1 = len(pi) + 1
     inverse = [0] * len(pi)
     for p, v in enumerate(pi, start=1):
@@ -428,11 +393,32 @@ def _symmetric_images(pi: Perm) -> tuple[Perm, ...]:
     return (pi, pi[::-1], c, c[::-1], inv, inv[::-1], ic, ic[::-1])
 
 
+def apply_symmetry(label: str, pi: Perm) -> Perm:
+    """Apply a symmetry (one of SYMMETRY_LABELS, steps applied in label order)."""
+    k = _LABEL_INDEX.get(label)
+    if k is None:
+        raise PermError(f"unknown symmetry {label!r}")
+    return symmetric_images(pi)[k]
+
+
+# The 8 images of this probe are distinct, so its image names the symmetry.
+_PROBE: Perm = (2, 4, 1, 3, 5)
+_PROBE_LABEL = dict(zip(symmetric_images(_PROBE), SYMMETRY_LABELS))
+assert len(_PROBE_LABEL) == 8
+
+
+def compose_symmetries(g: str, h: str) -> str:
+    """The label of "apply g, then h"."""
+    if g not in _LABEL_INDEX or h not in _LABEL_INDEX:
+        raise PermError(f"unknown symmetry in ({g!r}, {h!r})")
+    return _PROBE_LABEL[apply_symmetry(h, apply_symmetry(g, _PROBE))]
+
+
 def symmetry_orbit(pi: Perm) -> set[Perm]:
     """The distinct images of pi under the 8 symmetries."""
-    return set(_symmetric_images(pi))
+    return set(symmetric_images(pi))
 
 
 def canonical_symmetry_form(pi: Perm) -> Perm:
     """The lexicographically least of the 8 symmetric images of pi."""
-    return min(_symmetric_images(pi))
+    return min(symmetric_images(pi))

@@ -3,7 +3,9 @@
 Each rule is sound: a permutation holding a valid certificate has principal
 Mobius value 0.  Completeness is not attempted; zeros arising from
 accidental cancellation get no certificate.  All rules are closed under the
-8 symmetries, which are containment automorphisms of the pattern poset.
+8 symmetries, which are containment automorphisms of the pattern poset: the
+sum-split rule tries the 8 images of pi, and the symmetric images of the
+fixed annihilators are tabled once at import.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .permcore import (
     fmt,
     interval_copies,
     pattern_of,
+    symmetric_images,
 )
 
 #: Single permutations whose interval copy forces a zero (beyond sum splits).
@@ -45,6 +48,32 @@ ANNIHILATOR_PAIRS: tuple[tuple[Perm, Perm], ...] = (
 #: Conjectured pairs, certifiable only behind an explicit flag.
 CONJECTURED_PAIRS: tuple[tuple[Perm, Perm], ...] = (
     ((3, 1, 2), (2, 3, 5, 6, 1, 4)),
+)
+
+
+# Per rule table: each member (or pair) with its (label, image(s)) in
+# SYMMETRY_LABELS order.  The window lengths cover the conjectured pairs too;
+# windows that no image can match cost time, never a different certificate.
+_BASE_IMAGES = tuple(
+    (base, tuple(zip(SYMMETRY_LABELS, symmetric_images(base))))
+    for base in BASE_ANNIHILATORS
+)
+
+
+def _pair_images(pairs: tuple[tuple[Perm, Perm], ...]) -> tuple:
+    return tuple(
+        (
+            (phi, psi),
+            tuple(zip(SYMMETRY_LABELS, symmetric_images(phi), symmetric_images(psi))),
+        )
+        for phi, psi in pairs
+    )
+
+
+_PAIR_IMAGES = _pair_images(ANNIHILATOR_PAIRS)
+_CONJECTURED_IMAGES = _pair_images(CONJECTURED_PAIRS)
+_WINDOW_LENGTHS = frozenset(map(len, BASE_ANNIHILATORS)) | frozenset(
+    len(p) for pair in ANNIHILATOR_PAIRS + CONJECTURED_PAIRS for p in pair
 )
 
 
@@ -83,7 +112,9 @@ ZeroCertificate = Union[
 ]
 
 
-def _interval_windows(pi: Perm, lengths: set[int]) -> dict[Perm, list[tuple[int, int]]]:
+def _interval_windows(
+    pi: Perm, lengths: frozenset[int]
+) -> dict[Perm, list[tuple[int, int]]]:
     """All interval windows of pi with length in ``lengths``, keyed by pattern."""
     n = len(pi)
     out: dict[Perm, list[tuple[int, int]]] = {}
@@ -109,33 +140,26 @@ def certify_zero(pi: Perm, include_conjectured: bool = False) -> Optional[ZeroCe
     ups, downs = adjacencies(pi)
     if ups and downs:
         return OpposingAdjacencies(ups[0], downs[0])
-    for g in SYMMETRY_LABELS:
-        w = find_sum_split_interval(apply_symmetry(g, pi))
+    for g, image in zip(SYMMETRY_LABELS, symmetric_images(pi)):
+        w = find_sum_split_interval(image)
         if w is not None:
             return SumAnnihilator(window=(w[0], w[1]), split=w[2], symmetry=g)
 
-    pairs = ANNIHILATOR_PAIRS + (CONJECTURED_PAIRS if include_conjectured else ())
-    lengths = {len(b) for b in BASE_ANNIHILATORS}
-    for phi, psi in pairs:
-        lengths.add(len(phi))
-        lengths.add(len(psi))
-    windows = _interval_windows(pi, lengths)
-
-    for base in BASE_ANNIHILATORS:
-        for g in SYMMETRY_LABELS:
-            copies = windows.get(apply_symmetry(g, base))
+    windows = _interval_windows(pi, _WINDOW_LENGTHS)
+    for base, images in _BASE_IMAGES:
+        for g, image in images:
+            copies = windows.get(image)
             if copies:
                 return BaseAnnihilator(base=base, symmetry=g, window=copies[0])
 
-    for phi, psi in pairs:
-        for g in SYMMETRY_LABELS:
-            c1 = windows.get(apply_symmetry(g, phi), [])
-            c2 = windows.get(apply_symmetry(g, psi), [])
-            for w1 in c1:
-                for w2 in c2:
+    pairs = _PAIR_IMAGES + (_CONJECTURED_IMAGES if include_conjectured else ())
+    for pair, images in pairs:
+        for g, phi, psi in images:
+            for w1 in windows.get(phi, ()):
+                for w2 in windows.get(psi, ()):
                     if w1[1] < w2[0] or w2[1] < w1[0]:
                         return AnnihilatorPair(
-                            pair=(phi, psi), symmetry=g, window1=w1, window2=w2
+                            pair=pair, symmetry=g, window1=w1, window2=w2
                         )
     return None
 

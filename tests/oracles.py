@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's code paths: containment is checked
-by enumerating subsequences, down-sets by enumerating all subsequences, and
+by enumerating subsequences, down-sets by enumerating all subsequences,
+symmetries by moving the points of the plot one letter at a time, and
 Mobius values by the definitional recursion over exact (non-canonicalized)
 keys.  ``recursive_principal_mobius`` keeps the library's earlier principal
 evaluator as a second, independent engine.
@@ -27,6 +28,27 @@ def brute_down_set(pi):
         for c in itertools.combinations(pi, k):
             out.add(pattern_of(c))
     return out
+
+
+def brute_symmetry(label, pi):
+    """Apply a symmetry label one letter at a time, left to right, each
+    letter straight from its definition on the plot {(p, pi(p))}: inverse
+    swaps the axes, reverse sends position p to n+1-p, complement sends
+    value v to n+1-v."""
+    n = len(pi)
+    for letter in "" if label == "id" else label:
+        out = [0] * n
+        for p, v in enumerate(pi, start=1):
+            if letter == "i":
+                out[v - 1] = p
+            elif letter == "r":
+                out[n - p] = v
+            elif letter == "c":
+                out[p - 1] = n + 1 - v
+            else:
+                raise ValueError(f"unknown symmetry letter {letter!r}")
+        pi = tuple(out)
+    return tuple(pi)
 
 
 def brute_mobius(sigma, pi, memo=None):

@@ -123,6 +123,9 @@ class TestZeroDensity:
         full = zero_density(6)
         resumed = zero_density(6, checkpoint=str(ck))
         assert (resumed.zero_count, resumed.total) == (full.zero_count, full.total)
+        data = json.loads(ck.read_text())
+        assert data["version"] == census.CHECKPOINT_VERSION == 3
+        assert set(data) == {"version", "n", "fingerprint", "chunks"}
         # a second run resumes from the completed checkpoint
         again = zero_density(6, checkpoint=str(ck))
         assert again.zero_count == full.zero_count

@@ -31,7 +31,8 @@ from permobius import (
     skew_sum,
     symmetry_orbit,
 )
-from oracles import brute_contains, brute_down_set
+from permobius.permcore import deletion_levels, deletions
+from oracles import brute_contains, brute_down_set, brute_symmetry
 
 perms_up_to = lambda n: (
     p for k in range(1, n + 1) for p in itertools.permutations(range(1, k + 1))
@@ -198,6 +199,36 @@ class TestDownSet:
             down_set(parse("2413"), cap=3)
 
 
+class TestDeletionLevels:
+    def test_levels_and_edges_exhaustive(self):
+        for pi in perms_up_to(6):
+            levels, edges = deletion_levels(pi, 1)
+            below = brute_down_set(pi)
+            assert [set(level) for level in levels] == [
+                {t for t in below if len(t) == len(pi) - d} for d in range(len(pi))
+            ], pi
+            assert all(len(level) == len(set(level)) for level in levels)
+            for d, rows in enumerate(edges):
+                for tau, row in zip(levels[d], rows, strict=True):
+                    assert sorted(row) == sorted(set(row))
+                    assert {levels[d + 1][k] for k in row} == deletions(tau)
+
+    def test_stops_at_length(self):
+        levels, edges = deletion_levels(parse("2413"), 3)
+        assert levels[0] == [parse("2413")]
+        assert set(levels[1]) == {parse(s) for s in ("132", "213", "231", "312")}
+        assert len(levels) == 2 and len(edges) == 1
+        assert deletion_levels(parse("2413"), 4) == ([[parse("2413")]], [])
+
+    def test_cap_counts_every_level(self):
+        from permobius import BudgetError
+
+        # [1, 2413] has 8 elements
+        assert sum(map(len, deletion_levels(parse("2413"), 1, cap=8)[0])) == 8
+        with pytest.raises(BudgetError):
+            deletion_levels(parse("2413"), 1, cap=7)
+
+
 class TestIntervalSet:
     def test_examples(self):
         got = interval_set(parse("12"), parse("2413"))
@@ -340,6 +371,15 @@ class TestSymmetry:
                 assert apply_symmetry(gh, pi) == apply_symmetry(
                     h, apply_symmetry(g, pi)
                 )
+                assert brute_symmetry(gh, pi) == brute_symmetry(
+                    h, brute_symmetry(g, pi)
+                )
+
+    def test_unknown_label(self):
+        with pytest.raises(PermError):
+            apply_symmetry("x", parse("213"))
+        with pytest.raises(PermError):
+            compose_symmetries("r", "ri")
 
     def test_containment_automorphism(self):
         rng = random.Random(3)
@@ -359,10 +399,11 @@ class TestSymmetry:
             assert apply_symmetry(g, apply_symmetry(g, pi)) == pi
 
     def test_orbit_and_canonical_form_match_labelled_symmetries(self):
-        # the slicing shortcut against the 8 labelled maps, exhaustively
+        # the labelled maps against the letter-by-letter oracle, exhaustively
         for pi in perms_up_to(8):
-            images = {apply_symmetry(g, pi) for g in SYMMETRY_LABELS}
-            assert symmetry_orbit(pi) == images, pi
+            images = [apply_symmetry(g, pi) for g in SYMMETRY_LABELS]
+            assert images == [brute_symmetry(g, pi) for g in SYMMETRY_LABELS], pi
+            assert symmetry_orbit(pi) == set(images), pi
             assert canonical_symmetry_form(pi) == min(images), pi
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -155,6 +156,19 @@ class TestSoundness:
         assert not verify_certificate(parse("2413"), good)
         bad_sum = SumAnnihilator(window=(1, 4), split=2, symmetry="id")
         assert not verify_certificate(parse("2413"), bad_sum)
+
+
+class TestCertificatePin:
+    def test_certificate_lines_up_to_7(self):
+        # fails if rule precedence, witness choice or label order changes
+        lines = [
+            certificate_line(pi, certify_zero(pi))
+            for n in range(1, 8)
+            for pi in perms_of(n)
+        ]
+        assert len(lines) == 5913
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "9b33aed031ba44fec409f8028a56a60c94d48975b62a99a52332f541581f9ad8"
 
 
 class TestSigmaSumRule:
