@@ -23,7 +23,7 @@ from .permcore import (
     inflate,
     inflate_at,
     interval_copies,
-    interval_set,
+    intervals,
     is_adjacency_free,
     is_simple,
     parse,
@@ -38,6 +38,7 @@ from .mobius import (
     MobiusCache,
     i_switch,
     interval_as_poset,
+    interval_set,
     mobius,
     mobius_poset,
     principal_mobius,

@@ -434,6 +434,8 @@ def zero_density(
 
 def sweep(n_max: int, workers: int = 1, long_run: bool = False) -> list[CensusRow]:
     """CensusRows for n = 1..n_max."""
+    if n_max < 1:
+        raise PermError(f"n_max must be at least 1, got {n_max}")
     return [
         zero_density(n, workers=workers, long_run=long_run)
         for n in range(1, n_max + 1)

@@ -38,8 +38,7 @@ class MobiusCache:
 
     Keys for lower bound 1 are stored under the symmetry-canonical form of
     the upper bound.  Concurrent use is safe under last-writer-wins because
-    all writers compute identical values; per-worker caches merged after a
-    parallel run are equivalent.
+    all writers compute identical values.
     """
 
     def __init__(self) -> None:
@@ -116,6 +115,12 @@ def _interval(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
                 bit += 1
             above.append(below)
         closed = above
+
+
+def interval_set(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> set[Perm]:
+    """The interval [sigma, pi] as a set; empty if sigma !<= pi.  An empty
+    sigma gives [1, pi]: the empty permutation itself is left out."""
+    return {tau for tau, _ in _interval(sigma or P1, pi, cap)}
 
 
 def _interval_mobius(sigma: Perm, pi: Perm, cap: int) -> int:

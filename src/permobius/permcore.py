@@ -1,14 +1,15 @@
 """Permutations in one-line notation, and the order/structure primitives on them.
 
-A permutation is represented as a tuple of the integers 1..n ("one-line"
-notation), e.g. ``(3, 1, 2)``.  The empty tuple is the empty permutation.
-All functions here are pure; values are immutable and safe to share across
-workers.
+A permutation is a tuple of the integers 1..n ("one-line" notation), e.g.
+``(3, 1, 2)``; the empty tuple is the empty permutation.  All functions are
+pure, and values are immutable and safe to share across workers.  Every
+interval (contiguous positions and values) comes from the one ``intervals``
+scan, which interval copies, sum splits and simplicity filter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
 
@@ -223,13 +224,6 @@ def down_set(pi: Perm, cap: int = DOWN_SET_CAP) -> set[Perm]:
     return {tau for level in levels for tau in level}
 
 
-def interval_set(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> set[Perm]:
-    """The interval [sigma, pi] as a set of permutations; empty if sigma !<= pi."""
-    if not pi:
-        return set()
-    return {tau for tau in down_set(pi, cap) if contains(sigma, tau)}
-
-
 def direct_sum(alpha: Perm, beta: Perm) -> Perm:
     if len(alpha) + len(beta) > MAX_LEN:
         raise PermError("direct sum exceeds length cap")
@@ -317,21 +311,40 @@ class IntervalCopy:
     pattern: Perm
 
 
-def _window_is_interval(vals: Sequence[int]) -> bool:
-    return max(vals) - min(vals) == len(vals) - 1
+def intervals(pi: Perm) -> Iterator[tuple[int, int, int]]:
+    """Every interval of pi: a window of positions whose values are contiguous.
+
+    Yields ``(start, end, low)`` with 1-based inclusive positions and ``low``
+    the least value of the window, ordered by start, then end; singletons
+    and pi itself are included.  One pass per start with a running min and
+    max, so O(n^2) in all.
+
+    >>> list(intervals((2, 4, 1, 3)))
+    [(1, 1, 2), (1, 4, 1), (2, 2, 4), (3, 3, 1), (4, 4, 3)]
+    """
+    n = len(pi)
+    for s in range(n):
+        low = high = pi[s]
+        for e in range(s, n):
+            v = pi[e]
+            if v < low:
+                low = v
+            elif v > high:
+                high = v
+            if high - low == e - s:
+                yield s + 1, e + 1, low
 
 
 def interval_copies(pi: Perm, alpha: Perm) -> list[IntervalCopy]:
     """All interval copies of alpha in pi, in order of start position."""
     if not alpha:
         raise PermError("interval copies of the empty permutation are not defined")
-    k, n = len(alpha), len(pi)
-    out = []
-    for s in range(n - k + 1):
-        vals = pi[s : s + k]
-        if _window_is_interval(vals) and pattern_of(vals) == alpha:
-            out.append(IntervalCopy(s + 1, s + k, alpha))
-    return out
+    return [
+        IntervalCopy(s, e, alpha)
+        for s, e, low in intervals(pi)
+        if e - s + 1 == len(alpha)
+        and tuple([v - low + 1 for v in pi[s - 1 : e]]) == alpha
+    ]
 
 
 def find_sum_split_interval(pi: Perm) -> Optional[tuple[int, int, int]]:
@@ -341,31 +354,23 @@ def find_sum_split_interval(pi: Perm) -> Optional[tuple[int, int, int]]:
     position p has every window value to its left below pi[p] and every one
     to its right above.  Witnesses are ordered lexicographically.
     """
-    n = len(pi)
-    for i0 in range(n - 2):
-        for j0 in range(i0 + 2, n):
-            vals = pi[i0 : j0 + 1]
-            if not _window_is_interval(vals):
-                continue
-            for p0 in range(i0 + 1, j0):
-                v = pi[p0]
-                if all(x < v for x in pi[i0:p0]) and all(
-                    x > v for x in pi[p0 + 1 : j0 + 1]
-                ):
-                    return (i0 + 1, j0 + 1, p0 + 1)
+    for s, e, low in intervals(pi):
+        # p splits [s, e] iff pi[p] = low + (p - s) and exceeds all to its left
+        high = pi[s - 1]
+        for p in range(s + 1, e):
+            v = pi[p - 1]
+            if v == low + p - s and high < v:
+                return (s, e, p)
+            if v > high:
+                high = v
     return None
 
 
 def is_simple(pi: Perm) -> bool:
-    """True iff pi has no proper window of length 2..n-1 with contiguous values."""
+    """True iff pi has no proper interval, one of length 2..n-1."""
     if not pi:
         raise PermError("simplicity of the empty permutation is not defined")
-    n = len(pi)
-    for k in range(2, n):
-        for s in range(n - k + 1):
-            if _window_is_interval(pi[s : s + k]):
-                return False
-    return True
+    return not any(0 < e - s < len(pi) - 1 for s, e, _ in intervals(pi))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .permcore import (
     Perm,
     PermError,
     adjacencies,
-    contains,
     direct_sum,
     down_set,
     fmt,
@@ -43,9 +42,9 @@ from .zerorules import (
     verify_certificate,
 )
 
-# Unused here, but bench/tracing.py patches this name on this module to count
-# its calls; it stays importable until the benchmark drops it.
-from .permcore import apply_symmetry  # noqa: F401
+# Unused here, but bench/tracing.py patches these names on this module to
+# count their calls; they stay importable until the benchmark drops them.
+from .permcore import apply_symmetry, contains  # noqa: F401
 
 
 class CoreInvariantError(PermError):
@@ -151,7 +150,6 @@ def check_eq_cancel_thm1(
 ) -> bool:
     """Parity cancellation of the four wide embeddings around an up-adjacency
     at i and a down-adjacency at j, for every nonzero interior element."""
-    n = len(pi)
     ups, downs = adjacencies(pi)
     if i not in ups or j not in downs:
         raise PreconditionError(
@@ -159,26 +157,18 @@ def check_eq_cancel_thm1(
         )
     if cache is None:
         cache = MobiusCache()
-    full = tuple(range(1, n + 1))
-    images = [
-        full,
-        tuple(p for p in full if p != i),
-        tuple(p for p in full if p != j),
-        tuple(p for p in full if p not in (i, j)),
+    sources = [
+        pattern_of(tuple(v for p, v in enumerate(pi, start=1) if p not in gone))
+        for gone in ((i,), (j,), (i, j))
     ]
-    sources = [pattern_of(tuple(pi[p - 1] for p in img)) for img in images]
     if any(len(src) == 1 for src in sources):
         return False
+    # the sources above lam, pi itself among them, must cancel by parity
+    signed = [((-1) ** len(src), down_set(src)) for src in sources]
     for lam in down_set(pi) - {pi}:
         if principal_mobius(lam, cache=cache) == 0:
             continue
-        odd = sum(
-            1 for src in sources if len(src) % 2 == 1 and contains(lam, src)
-        )
-        even = sum(
-            1 for src in sources if len(src) % 2 == 0 and contains(lam, src)
-        )
-        if odd != even:
+        if (-1) ** len(pi) + sum(sign for sign, below in signed if lam in below):
             return False
     return True
 
@@ -535,6 +525,8 @@ def run_theorem_suites(
     n_max: int = 6, suites: Optional[Sequence[str]] = None, cache: Optional[MobiusCache] = None
 ) -> Report:
     """Run the named verification suites (all by default) up to length n_max."""
+    if n_max < 1:
+        raise PermError(f"n_max must be at least 1, got {n_max}")
     if n_max > 8:
         raise PermError("verification suites support n_max <= 8")
     wanted = set(suites) if suites else set(SUITE_NAMES)

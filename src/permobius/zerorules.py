@@ -2,10 +2,11 @@
 
 Each rule is sound: a permutation holding a valid certificate has principal
 Mobius value 0.  Completeness is not attempted; zeros arising from
-accidental cancellation get no certificate.  All rules are closed under the
-8 symmetries, which are containment automorphisms of the pattern poset: the
-sum-split rule tries the 8 images of pi, and the symmetric images of the
-fixed annihilators are tabled once at import.
+accidental cancellation get no certificate.  Every rule reads pi's windows
+from one interval scan, ``permcore.intervals``, and ``verify_certificate``
+re-checks only the windows a certificate names.  All rules are closed under
+the 8 symmetries of the pattern poset: the sum-split rule tries pi's 8
+images, and the fixed annihilators' images are tabled once at import.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from .permcore import (
     Perm,
     PermError,
     SYMMETRY_LABELS,
-    _window_is_interval,
     adjacencies,
     apply_symmetry,
     direct_sum,
@@ -25,6 +25,7 @@ from .permcore import (
     find_sum_split_interval,
     fmt,
     interval_copies,
+    intervals,
     pattern_of,
     symmetric_images,
 )
@@ -112,17 +113,13 @@ ZeroCertificate = Union[
 ]
 
 
-def _interval_windows(
-    pi: Perm, lengths: frozenset[int]
-) -> dict[Perm, list[tuple[int, int]]]:
-    """All interval windows of pi with length in ``lengths``, keyed by pattern."""
-    n = len(pi)
+def _interval_windows(pi: Perm) -> dict[Perm, list[tuple[int, int]]]:
+    """The interval windows of pi with a length in _WINDOW_LENGTHS, by pattern."""
     out: dict[Perm, list[tuple[int, int]]] = {}
-    for k in lengths:
-        for s in range(n - k + 1):
-            vals = pi[s : s + k]
-            if _window_is_interval(vals):
-                out.setdefault(pattern_of(vals), []).append((s + 1, s + k))
+    for s, e, low in intervals(pi):
+        if e - s + 1 in _WINDOW_LENGTHS:
+            pattern = tuple([v - low + 1 for v in pi[s - 1 : e]])
+            out.setdefault(pattern, []).append((s, e))
     return out
 
 
@@ -145,7 +142,7 @@ def certify_zero(pi: Perm, include_conjectured: bool = False) -> Optional[ZeroCe
         if w is not None:
             return SumAnnihilator(window=(w[0], w[1]), split=w[2], symmetry=g)
 
-    windows = _interval_windows(pi, _WINDOW_LENGTHS)
+    windows = _interval_windows(pi)
     for base, images in _BASE_IMAGES:
         for g, image in images:
             copies = windows.get(image)
@@ -169,7 +166,7 @@ def _window_copies(pi: Perm, pattern: Perm, window: tuple[int, int]) -> bool:
     if not (1 <= s <= e <= len(pi)) or e - s + 1 != len(pattern):
         return False
     vals = pi[s - 1 : e]
-    return _window_is_interval(vals) and pattern_of(vals) == pattern
+    return max(vals) - min(vals) == e - s and pattern_of(vals) == pattern
 
 
 def verify_certificate(
@@ -185,15 +182,12 @@ def verify_certificate(
         if isinstance(cert, SumAnnihilator):
             q = apply_symmetry(cert.symmetry, pi)
             (s, e), p = cert.window, cert.split
-            if not (1 <= s < p < e <= len(q)) or e - s < 2:
+            if not 1 <= s < p < e <= len(q):
                 return False
-            vals = q[s - 1 : e]
-            if not _window_is_interval(vals):
+            vals, v = q[s - 1 : e], q[p - 1]
+            if max(vals) - min(vals) != e - s:
                 return False
-            v = q[p - 1]
-            return all(x < v for x in q[s - 1 : p - 1]) and all(
-                x > v for x in q[p:e]
-            )
+            return max(q[s - 1 : p - 1]) < v < min(q[p:e])
         if isinstance(cert, BaseAnnihilator):
             if cert.base not in BASE_ANNIHILATORS:
                 return False

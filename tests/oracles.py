@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's code paths: containment is checked
 by enumerating subsequences, down-sets by enumerating all subsequences,
-symmetries by moving the points of the plot one letter at a time, and
-Mobius values by the definitional recursion over exact (non-canonicalized)
-keys.  ``recursive_principal_mobius`` keeps the library's earlier principal
-evaluator as a second, independent engine.
+symmetries by moving the points of the plot one letter at a time,
+intervals by comparing each window's value set with a range, and Mobius
+values by the definitional recursion over exact (non-canonicalized) keys.
+``recursive_principal_mobius`` keeps the library's earlier principal
+evaluator as a second, independent engine, and ``brute_sum_split`` the
+earlier sum-split search.
 """
 import itertools
 
@@ -49,6 +51,39 @@ def brute_symmetry(label, pi):
                 raise ValueError(f"unknown symmetry letter {letter!r}")
         pi = tuple(out)
     return tuple(pi)
+
+
+def brute_intervals(pi):
+    """Every (start, end, low) of pi, ordered by start, then end, whose window
+    of values is a set of consecutive integers; positions are 1-based and
+    inclusive, low is the least value."""
+    n = len(pi)
+    out = []
+    for s in range(1, n + 1):
+        for e in range(s, n + 1):
+            values = set(pi[s - 1 : e])
+            low = min(values)
+            if values == set(range(low, low + e - s + 1)):
+                out.append((s, e, low))
+    return out
+
+
+def brute_sum_split(pi):
+    """The library's earlier find_sum_split_interval: every window and split
+    point checked from scratch, O(n^3) windows-by-points with O(n) scans."""
+    n = len(pi)
+    for i0 in range(n - 2):
+        for j0 in range(i0 + 2, n):
+            vals = pi[i0 : j0 + 1]
+            if max(vals) - min(vals) != len(vals) - 1:
+                continue
+            for p0 in range(i0 + 1, j0):
+                v = pi[p0]
+                if all(x < v for x in pi[i0:p0]) and all(
+                    x > v for x in pi[p0 + 1 : j0 + 1]
+                ):
+                    return (i0 + 1, j0 + 1, p0 + 1)
+    return None
 
 
 def brute_mobius(sigma, pi, memo=None):

@@ -112,6 +112,12 @@ class TestVerify:
         assert code == EXIT_DOMAIN
         assert "error:" in err
 
+    def test_empty_range(self, capsys):
+        for nmax in ("0", "-2"):
+            code, out, err = run(capsys, "verify", "--nmax", nmax)
+            assert code == EXIT_DOMAIN
+            assert err.startswith("error:") and out == ""
+
 
 class TestTable:
     def test_values(self, capsys):
@@ -120,6 +126,12 @@ class TestTable:
         assert code == EXIT_OK
         assert lines[0].split() == ["1", "0.0000"]
         assert lines[-1].split() == ["6", "0.5361"]
+
+    def test_empty_range(self, capsys):
+        for nmax in ("0", "-2"):
+            code, out, err = run(capsys, "table", "--nmax", nmax)
+            assert code == EXIT_DOMAIN
+            assert err.startswith("error:") and out == ""
 
 
 class TestExitCodes:

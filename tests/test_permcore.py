@@ -24,6 +24,7 @@ from permobius import (
     inflate_at,
     interval_copies,
     interval_set,
+    intervals,
     is_simple,
     parse,
     pattern_of,
@@ -32,7 +33,13 @@ from permobius import (
     symmetry_orbit,
 )
 from permobius.permcore import deletion_levels, deletions
-from oracles import brute_contains, brute_down_set, brute_symmetry
+from oracles import (
+    brute_contains,
+    brute_down_set,
+    brute_intervals,
+    brute_sum_split,
+    brute_symmetry,
+)
 
 perms_up_to = lambda n: (
     p for k in range(1, n + 1) for p in itertools.permutations(range(1, k + 1))
@@ -238,6 +245,21 @@ class TestIntervalSet:
         assert interval_set(pi, pi) == {pi}
         assert interval_set(parse("21"), parse("12")) == set()
 
+    def test_matches_brute_force_exhaustive(self):
+        # every pair with |pi| <= 5, including sigma = (), sigma == pi,
+        # incomparable sigma and sigma longer than pi
+        below = {pi: brute_down_set(pi) for pi in perms_up_to(5)}
+        sigmas = [()] + list(perms_up_to(5)) + [parse("123456"), parse("246135")]
+        for pi in [()] + list(perms_up_to(5)):
+            for sigma in sigmas:
+                want = {
+                    t
+                    for t in below.get(pi, ())
+                    if not sigma or sigma in below.get(t, ())
+                }
+                assert interval_set(sigma, pi) == want, (sigma, pi)
+                assert bool(want) == (bool(pi) and brute_contains(sigma, pi))
+
 
 class TestCompose:
     def test_examples(self):
@@ -320,12 +342,36 @@ class TestIntervalCopies:
 
     def test_windows_verify_definition(self):
         for pi in perms_up_to(5):
+            found = brute_intervals(pi)
             for k in range(1, len(pi) + 1):
                 for alpha in itertools.permutations(range(1, k + 1)):
-                    for c in interval_copies(pi, alpha):
+                    copies = interval_copies(pi, alpha)
+                    for c in copies:
                         vals = pi[c.start - 1 : c.end]
                         assert max(vals) - min(vals) == len(vals) - 1
                         assert pattern_of(vals) == alpha
+                    assert [(c.start, c.end) for c in copies] == [
+                        (s, e)
+                        for s, e, _ in found
+                        if pattern_of(pi[s - 1 : e]) == alpha
+                    ]
+
+
+class TestIntervals:
+    def test_examples(self):
+        assert list(intervals(parse("2413"))) == [
+            (1, 1, 2), (1, 4, 1), (2, 2, 4), (3, 3, 1), (4, 4, 3)
+        ]
+        assert list(intervals(())) == []
+
+    def test_scan_and_filters_match_brute_force(self):
+        # the order of the scan and the exact witnesses, for every |pi| <= 8
+        for pi in perms_up_to(8):
+            found = brute_intervals(pi)
+            assert list(intervals(pi)) == found, pi
+            assert find_sum_split_interval(pi) == brute_sum_split(pi), pi
+            n = len(pi)
+            assert is_simple(pi) == all(e - s in (0, n - 1) for s, e, _ in found), pi
 
 
 class TestSumSplit:
