@@ -11,7 +11,6 @@ from .permcore import (
     adjacencies,
     apply_symmetry,
     canonical_symmetry_form,
-    compose,
     compose_symmetries,
     contains,
     direct_sum,
@@ -24,7 +23,6 @@ from .permcore import (
     inflate_at,
     interval_copies,
     intervals,
-    is_adjacency_free,
     is_simple,
     parse,
     pattern_of,
@@ -36,7 +34,6 @@ from .permcore import (
 from .mobius import (
     FinitePosetView,
     MobiusCache,
-    i_switch,
     interval_as_poset,
     interval_set,
     mobius,

@@ -243,12 +243,12 @@ class LevelTables:
     def mobius(self, pi: Perm) -> int:
         """mu(1, pi) for a permutation pi with 1 <= |pi| <= n."""
         k = len(pi)
+        if not 1 <= k <= self.n:
+            raise PermError(f"level tables for n={self.n} cannot evaluate length {k}")
         if k == 1:
             return 1
         if k < self.n:
             return self._value([self.closures[c] for c in deletions(pi)])
-        if k != self.n:
-            raise PermError(f"level tables for n={self.n} cannot evaluate length {k}")
         singles = 0
         kids: list[int] = []
         top = self.top
@@ -443,7 +443,10 @@ def sweep(n_max: int, workers: int = 1, long_run: bool = False) -> list[CensusRo
 
 
 def density_bound_report(rows: Sequence[CensusRow]) -> str:
-    """Per-n comparison of s_n/n! with the asymptotic constant (1-1/e)^2."""
+    """Per-n comparison of s_n/n! with the asymptotic constant (1-1/e)^2.
+
+    Paper (arXiv:1810.05449): by Theorem 1, d_n >= s_n/n!, which tends to it.
+    """
     if not rows:
         raise PermError("no rows to report on")
     lines = ["n\ts_n/n!\tlimit\tgap\td_n"]

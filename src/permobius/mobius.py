@@ -13,11 +13,10 @@ oracle.
 """
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
 from .permcore import (
     DOWN_SET_CAP,
-    Embedding,
     Perm,
     PermError,
     canonical_symmetry_form,
@@ -70,9 +69,6 @@ class MobiusCache:
         self._data.clear()
         self.hits = 0
         self.misses = 0
-
-    def merge(self, other: "MobiusCache") -> None:
-        self._data.update(other._data)
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._data)}
@@ -199,80 +195,37 @@ def mobius(
     return value
 
 
-def i_switch(e: Embedding, i: int) -> Embedding:
-    """Toggle membership of position i in the embedding's image.
-
-    A parity-reversing involution; toggling the last remaining position is
-    an error.
-    """
-    n = len(e.target)
-    if not 1 <= i <= n:
-        raise PermError(f"switch position {i} out of range 1..{n}")
-    if i in e.image:
-        if len(e.image) == 1:
-            raise PermError("i-switch would empty the image")
-        image = tuple(p for p in e.image if p != i)
-    else:
-        image = tuple(sorted(e.image + (i,)))
-    return Embedding(e.target, image)
-
-
 class FinitePosetView:
-    """A finite poset given by elements plus either a cover list or a
-    strict-order predicate.  Used as a Mobius oracle independent of
-    permutation structure."""
+    """A finite poset given by elements and a cover list.  Used as a Mobius
+    oracle independent of permutation structure."""
 
     def __init__(
         self,
         elements: Iterable[Hashable],
-        covers: Optional[Iterable[tuple[Hashable, Hashable]]] = None,
-        less: Optional[Callable[[Hashable, Hashable], bool]] = None,
-        validate: bool = True,
+        covers: Iterable[tuple[Hashable, Hashable]],
     ) -> None:
         self.elements = tuple(elements)
         idx = set(self.elements)
         if len(idx) != len(self.elements):
             raise PermError("poset elements must be distinct")
         self._below: dict[Hashable, set[Hashable]] = {e: set() for e in self.elements}
-        if (covers is None) == (less is None):
-            raise PermError("provide exactly one of covers or less")
-        if covers is not None:
-            cover_list = list(covers)
-            for lo, hi in cover_list:
-                if lo not in idx or hi not in idx:
-                    raise PermError(f"cover ({lo!r}, {hi!r}) uses unknown element")
-            changed = True
-            for lo, hi in cover_list:
-                self._below[hi].add(lo)
-            # transitive closure over the cover DAG
-            while changed:
-                changed = False
-                for e in self.elements:
-                    extra = set()
-                    for b in self._below[e]:
-                        extra |= self._below[b]
-                    if not extra <= self._below[e]:
-                        self._below[e] |= extra
-                        changed = True
-            if any(e in self._below[e] for e in self.elements):
-                raise PermError("cover relation contains a cycle")
-        else:
-            for a in self.elements:
-                for b in self.elements:
-                    if a != b and less(a, b):
-                        self._below[b].add(a)
-            if validate and len(self.elements) <= 1000:
-                self._validate()
-
-    def _validate(self) -> None:
-        for a in self.elements:
-            if a in self._below[a]:
-                raise PermError(f"order not irreflexive at {a!r}")
-            for b in self._below[a]:
-                if a in self._below[b]:
-                    raise PermError(f"order not antisymmetric on {a!r}, {b!r}")
-                if not self._below[b] <= self._below[a]:
-                    raise PermError(f"order not transitive below {a!r}")
+        for lo, hi in covers:
+            if lo not in idx or hi not in idx:
+                raise PermError(f"cover ({lo!r}, {hi!r}) uses unknown element")
+            self._below[hi].add(lo)
+        # transitive closure over the cover DAG
+        changed = True
+        while changed:
+            changed = False
+            for e in self.elements:
+                extra = set()
+                for b in self._below[e]:
+                    extra |= self._below[b]
+                if not extra <= self._below[e]:
+                    self._below[e] |= extra
+                    changed = True
+        if any(e in self._below[e] for e in self.elements):
+            raise PermError("cover relation contains a cycle")
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
         return a == b or a in self._below[b]
@@ -291,7 +244,7 @@ class FinitePosetView:
 
     def induced(self, elements: Iterable[Hashable]) -> "FinitePosetView":
         """The subposet on ``elements``, kept in the given order."""
-        view = FinitePosetView(elements, covers=[], validate=False)
+        view = FinitePosetView(elements, covers=[])
         kept = set(view.elements)
         for e in view.elements:
             view._below[e] = self._below[e] & kept
@@ -322,6 +275,6 @@ def interval_as_poset(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> FiniteP
         below[tau] = {members[k] for k, b in enumerate(reversed(bin(bits))) if b == "1"}
         members.append(tau)
     members.sort(key=lambda t: (len(t), t))
-    view = FinitePosetView(members, covers=[], validate=False)
+    view = FinitePosetView(members, covers=[])
     view._below = below
     return view

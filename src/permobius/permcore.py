@@ -148,7 +148,10 @@ def _search(
 
 
 def embeddings(sigma: Perm, pi: Perm) -> list[Embedding]:
-    """All embeddings of sigma into pi, ordered lexicographically by image."""
+    """All embeddings of sigma into pi, ordered lexicographically by image.
+
+    Paper (arXiv:1810.05449): the proof of Theorem 1 cancels these by parity.
+    """
     if not sigma:
         raise PermError("embeddings of the empty permutation are not defined")
     out: list[Embedding] = []
@@ -236,15 +239,6 @@ def skew_sum(alpha: Perm, beta: Perm) -> Perm:
     return tuple(v + len(beta) for v in alpha) + beta
 
 
-def compose(alpha: Perm, beta: Perm, kind: str) -> Perm:
-    """Direct or skew sum of two permutations; the empty permutation is identity."""
-    if kind in ("direct-sum", "oplus", "+"):
-        return direct_sum(alpha, beta)
-    if kind in ("skew-sum", "ominus", "-"):
-        return skew_sum(alpha, beta)
-    raise PermError(f"unknown composition kind {kind!r}")
-
-
 def inflate(sigma: Perm, parts: Sequence[Perm]) -> Perm:
     """Inflate each point of sigma by the corresponding part.
 
@@ -294,11 +288,6 @@ def adjacencies(pi: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def has_opposing_adjacencies(pi: Perm) -> bool:
     ups, downs = adjacencies(pi)
     return bool(ups) and bool(downs)
-
-
-def is_adjacency_free(pi: Perm) -> bool:
-    ups, downs = adjacencies(pi)
-    return not ups and not downs
 
 
 @dataclass(frozen=True)

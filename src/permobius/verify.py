@@ -23,8 +23,6 @@ from .permcore import (
     inflate_at,
     parse,
     pattern_of,
-    find_sum_split_interval,
-    symmetric_images,
 )
 from .mobius import (
     FinitePosetView,
@@ -38,6 +36,8 @@ from .mobius import (
 from .zerorules import (
     ANNIHILATOR_PAIRS,
     BASE_ANNIHILATORS,
+    OpposingAdjacencies,
+    SumAnnihilator,
     certify_zero,
     verify_certificate,
 )
@@ -163,12 +163,14 @@ def check_eq_cancel_thm1(
     ]
     if any(len(src) == 1 for src in sources):
         return False
-    # the sources above lam, pi itself among them, must cancel by parity
-    signed = [((-1) ** len(src), down_set(src)) for src in sources]
-    for lam in down_set(pi) - {pi}:
-        if principal_mobius(lam, cache=cache) == 0:
+    # the sources above lam, pi itself among them, must cancel by parity; the
+    # sources are patterns of pi, so [1, pi] orders lam against each of them
+    P = interval_as_poset(P1, pi)
+    signed = [((-1) ** len(src), src) for src in sources]
+    for lam in P.elements:
+        if lam == pi or principal_mobius(lam, cache=cache) == 0:
             continue
-        if (-1) ** len(pi) + sum(sign for sign, below in signed if lam in below):
+        if (-1) ** len(pi) + sum(sign for sign, src in signed if P.leq(lam, src)):
             return False
     return True
 
@@ -196,7 +198,7 @@ def _grow_region(
 
 
 def _view_from_below(below: dict) -> FinitePosetView:
-    view = FinitePosetView(list(below), covers=[], validate=False)
+    view = FinitePosetView(list(below), covers=[])
     for e, bs in below.items():
         view._below[e] = set(bs)
     return view
@@ -275,17 +277,15 @@ def _restricted_interval_poset(top: Perm, keep: Callable[[Perm], bool]) -> Finit
     return P.induced(t for t in P.elements if t == top or keep(t))
 
 
-def _has_symmetric_sum_split(t: Perm) -> bool:
-    return any(find_sum_split_interval(q) is not None for q in symmetric_images(t))
-
-
 def reconstruct_214653_diamond() -> tuple[FinitePosetView, TippedCore, bool]:
     """Delete opposing-adjacency and sum-split zeros below 214653; the rest
     must be the published 11-element diamond-tipped poset."""
     top, z, zp, w = DIAMOND_214653
+    # certify_zero tries these two rules first, so any other answer means
+    # neither applies
     P = _restricted_interval_poset(
         top,
-        lambda t: not has_opposing_adjacencies(t) and not _has_symmetric_sum_split(t),
+        lambda t: not isinstance(certify_zero(t), (OpposingAdjacencies, SumAnnihilator)),
     )
     core = TippedCore("diamond", z=z, z_prime=zp, w=w)
     elements_ok = set(P.elements) == set(SURVIVORS_214653)

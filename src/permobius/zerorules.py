@@ -5,8 +5,11 @@ Mobius value 0.  Completeness is not attempted; zeros arising from
 accidental cancellation get no certificate.  Every rule reads pi's windows
 from one interval scan, ``permcore.intervals``, and ``verify_certificate``
 re-checks only the windows a certificate names.  All rules are closed under
-the 8 symmetries of the pattern poset: the sum-split rule tries pi's 8
-images, and the fixed annihilators' images are tabled once at import.
+the 8 symmetries of the pattern poset.  The sum-split rule scans only pi
+and its reverse: an image under id, rc, i or irc has an interval copy of
+some alpha+1+beta iff pi has one, and an image under r, c, ir or ic iff pi's
+reverse has one, so no later label in SYMMETRY_LABELS is ever the first
+with a witness.  The fixed annihilators' images are tabled once at import.
 """
 from __future__ import annotations
 
@@ -88,8 +91,8 @@ class OpposingAdjacencies:
 class SumAnnihilator:
     window: tuple[int, int]
     split: int
-    # Coordinates refer to apply_symmetry(symmetry, pi); "id" is a sum split
-    # of pi itself, other labels witness the skew/reflected variants.
+    # Coordinates refer to apply_symmetry(symmetry, pi): only "id" (a direct
+    # sum alpha+1+beta in pi) or "r" (a skew sum in pi) can occur.
     symmetry: str = "id"
 
 
@@ -127,17 +130,18 @@ def _interval_windows(pi: Perm) -> dict[Perm, list[tuple[int, int]]]:
 def certify_zero(pi: Perm, include_conjectured: bool = False) -> Optional[ZeroCertificate]:
     """The first applicable zero certificate for pi, or None.
 
-    Precedence: opposing adjacencies, then sum-split intervals under all 8
-    symmetries, then base annihilators under all 8 symmetries, then
-    annihilator pairs (same symmetry applied to both members, windows
-    disjoint).  The precedence is cosmetic; every rule is sound.
+    Precedence: opposing adjacencies, then sum-split intervals of pi (label
+    "id") or of its reverse ("r"), which covers every symmetry, then base
+    annihilators under all 8 symmetries, then annihilator pairs (same
+    symmetry applied to both members, windows disjoint).  The precedence is
+    cosmetic; every rule is sound.
     """
     if not pi:
         raise PermError("cannot certify the empty permutation")
     ups, downs = adjacencies(pi)
     if ups and downs:
         return OpposingAdjacencies(ups[0], downs[0])
-    for g, image in zip(SYMMETRY_LABELS, symmetric_images(pi)):
+    for g, image in (("id", pi), ("r", pi[::-1])):
         w = find_sum_split_interval(image)
         if w is not None:
             return SumAnnihilator(window=(w[0], w[1]), split=w[2], symmetry=g)
@@ -214,6 +218,8 @@ def verify_certificate(
 
 def sigma_sum_rule(sigma: Perm, alpha: Perm, beta: Perm, pi: Perm) -> bool:
     """True certifies mu(sigma, pi) = 0 via a sum-shaped interval copy.
+
+    Paper (arXiv:1810.05449): the general mu(sigma, pi) = 0 sum theorem.
 
     Requires (a) pi has an interval copy of alpha+1+beta, and (b) sigma has
     no interval copy of any a'+b' with 1 <= a' <= alpha and 1 <= b' <= beta.

@@ -7,12 +7,13 @@ intervals by comparing each window's value set with a range, and Mobius
 values by the definitional recursion over exact (non-canonicalized) keys.
 ``recursive_principal_mobius`` keeps the library's earlier principal
 evaluator as a second, independent engine, and ``brute_sum_split`` the
-earlier sum-split search.
+earlier sum-split search.  ``i_switch`` is the parity-reversing involution
+on embeddings from the proof of Theorem 1.
 """
 import itertools
 
 from permobius.mobius import P1, MobiusCache
-from permobius.permcore import DOWN_SET_CAP, PermError, down_set, pattern_of
+from permobius.permcore import DOWN_SET_CAP, Embedding, PermError, down_set, pattern_of
 from permobius.zerorules import certify_zero
 
 
@@ -134,3 +135,21 @@ def recursive_principal_mobius(pi, pruned=True, cache=None, cap=DOWN_SET_CAP):
         return val
 
     return rec(pi)
+
+
+def i_switch(e, i):
+    """Toggle membership of position i in the embedding's image.
+
+    A parity-reversing involution; toggling the last remaining position is
+    an error.
+    """
+    n = len(e.target)
+    if not 1 <= i <= n:
+        raise PermError(f"switch position {i} out of range 1..{n}")
+    if i in e.image:
+        if len(e.image) == 1:
+            raise PermError("i-switch would empty the image")
+        image = tuple(p for p in e.image if p != i)
+    else:
+        image = tuple(sorted(e.image + (i,)))
+    return Embedding(e.target, image)

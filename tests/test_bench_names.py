@@ -1,13 +1,18 @@
-"""The names the benchmark's tracer patches must exist on the package.
+"""The names the benchmark reaches must exist on the package.
 
 ``bench/tracing.py`` wraps the functions listed in its ``LAYER_PATCHES`` on
-the module each consumer looks them up in.  The benchmark's own tests run
-outside this suite, so this guard catches a rename or removal here first.
-The tracer source is compiled in memory; nothing under ``bench/`` is written.
+the module each consumer looks them up in, and ``bench/run.py`` times two
+census functions by name and cross-checks ``pmu`` values with
+``principal_mobius(pruned=False)``.  The benchmark's own tests run outside
+this suite, so this guard catches a rename or removal here first.  The
+tracer source is compiled in memory; nothing under ``bench/`` is written.
 """
 import importlib
 import types
 from pathlib import Path
+
+from permobius import census
+from permobius.mobius import MobiusCache, principal_mobius
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -22,3 +27,11 @@ def test_every_patched_name_resolves():
         if not callable(getattr(importlib.import_module(f"permobius.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_run_py_names_resolve():
+    # bench/run.py::census_parallel reads these with getattr and wraps them
+    for name in ("build_principal_table", "adjacency_counts"):
+        assert callable(getattr(census, name, None)), name
+    # bench/run.py::cross_check_unpruned
+    assert principal_mobius((2, 4, 1, 3), pruned=False, cache=MobiusCache()) == -3

@@ -195,6 +195,10 @@ class TestLevelTables:
         with pytest.raises(PermError):
             LevelTables(4).mobius((1, 2, 3, 4, 5))
 
+    def test_rejects_empty_permutation(self):
+        with pytest.raises(PermError):
+            LevelTables(5).mobius(())
+
 
 class TestSweep:
     def test_rows(self):

@@ -12,7 +12,6 @@ from permobius import (
     adjacencies,
     apply_symmetry,
     canonical_symmetry_form,
-    compose,
     compose_symmetries,
     contains,
     direct_sum,
@@ -263,17 +262,13 @@ class TestIntervalSet:
 
 class TestCompose:
     def test_examples(self):
-        assert compose(parse("21"), compose((1,), parse("21"), "oplus"), "oplus") == parse("21354")
+        assert direct_sum(parse("21"), direct_sum((1,), parse("21"))) == parse("21354")
         assert direct_sum(parse("3241"), parse("3241")) == parse("32417685")
-        assert compose((), parse("2413"), "direct-sum") == parse("2413")
+        assert direct_sum((), parse("2413")) == parse("2413")
 
     def test_skew(self):
         assert skew_sum((1,), (1,)) == (2, 1)
         assert skew_sum(parse("12"), parse("21")) == parse("3421")
-
-    def test_bad_kind(self):
-        with pytest.raises(PermError):
-            compose((1,), (1,), "product")
 
 
 class TestInflate:

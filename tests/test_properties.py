@@ -1,5 +1,6 @@
-"""Property tests: the interval engine against the brute-force oracle, and
-symmetry invariance of mu(1, .) and of the zero rules."""
+"""Property tests: the interval engine against the brute-force oracle,
+symmetry invariance of mu(1, .) and of the zero rules, and the sum-split
+certificate against a brute-force scan of all 8 symmetric images."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,14 +8,16 @@ from hypothesis import strategies as st
 from permobius import (
     SYMMETRY_LABELS,
     BudgetError,
+    SumAnnihilator,
     apply_symmetry,
     certify_zero,
+    has_opposing_adjacencies,
     interval_set,
     mobius,
     pattern_of,
     principal_mobius,
 )
-from oracles import brute_mobius
+from oracles import brute_mobius, brute_sum_split, brute_symmetry
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -45,6 +48,27 @@ def test_certificate_existence_symmetry_invariance(pi):
     certified = certify_zero(pi) is not None
     for g in SYMMETRY_LABELS:
         assert (certify_zero(apply_symmetry(g, pi)) is not None) == certified
+
+
+@PROPERTY_SETTINGS
+@given(perms(min_size=8, max_size=30).filter(lambda p: not has_opposing_adjacencies(p)))
+def test_sum_split_certificate_matches_all_images(pi):
+    # the first witness in SYMMETRY_LABELS order over all 8 images, which
+    # certify_zero finds by scanning pi and its reverse only
+    first = next(
+        (
+            (g, w)
+            for g in SYMMETRY_LABELS
+            if (w := brute_sum_split(brute_symmetry(g, pi))) is not None
+        ),
+        None,
+    )
+    cert = certify_zero(pi)
+    if first is None:
+        assert not isinstance(cert, SumAnnihilator)
+    else:
+        g, (s, e, p) = first
+        assert cert == SumAnnihilator(window=(s, e), split=p, symmetry=g)
 
 
 @PROPERTY_SETTINGS
