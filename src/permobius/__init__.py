@@ -11,7 +11,6 @@ from .permcore import (
     adjacencies,
     apply_symmetry,
     canonical_symmetry_form,
-    compose_symmetries,
     contains,
     direct_sum,
     down_set,

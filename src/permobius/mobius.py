@@ -13,7 +13,7 @@ oracle.
 """
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .permcore import (
     DOWN_SET_CAP,
@@ -196,59 +196,44 @@ def mobius(
 
 
 class FinitePosetView:
-    """A finite poset given by elements and a cover list.  Used as a Mobius
-    oracle independent of permutation structure."""
+    """A finite poset given by the strict down-set of each element.  Used as
+    a Mobius oracle independent of permutation structure.
 
-    def __init__(
-        self,
-        elements: Iterable[Hashable],
-        covers: Iterable[tuple[Hashable, Hashable]],
-    ) -> None:
-        self.elements = tuple(elements)
-        idx = set(self.elements)
-        if len(idx) != len(self.elements):
-            raise PermError("poset elements must be distinct")
-        self._below: dict[Hashable, set[Hashable]] = {e: set() for e in self.elements}
-        for lo, hi in covers:
-            if lo not in idx or hi not in idx:
-                raise PermError(f"cover ({lo!r}, {hi!r}) uses unknown element")
-            self._below[hi].add(lo)
-        # transitive closure over the cover DAG
-        changed = True
-        while changed:
-            changed = False
-            for e in self.elements:
-                extra = set()
-                for b in self._below[e]:
-                    extra |= self._below[b]
-                if not extra <= self._below[e]:
-                    self._below[e] |= extra
-                    changed = True
-        if any(e in self._below[e] for e in self.elements):
-            raise PermError("cover relation contains a cycle")
+    ``below`` maps each element to the elements strictly below it, listing
+    the elements in a linear extension: a down-set may name only elements
+    listed before it, which PermError enforces and which rules out cycles.
+    The down-sets must be transitively closed; that is not checked.
+    """
+
+    def __init__(self, below: Mapping[Hashable, Iterable[Hashable]]) -> None:
+        self._below: dict[Hashable, frozenset[Hashable]] = {}
+        for e, bs in below.items():
+            bs = frozenset(bs)
+            if not bs <= self._below.keys():
+                raise PermError(
+                    f"down-set of {e!r} names an element not listed before it"
+                )
+            self._below[e] = bs
+        self.elements = tuple(self._below)
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
         return a == b or a in self._below[b]
 
-    def strictly_below(self, b: Hashable) -> set[Hashable]:
-        return set(self._below[b])
+    def strictly_below(self, b: Hashable) -> frozenset[Hashable]:
+        return self._below[b]
 
     def interval(self, x: Hashable, y: Hashable) -> list[Hashable]:
-        """Elements of [x, y], ordered by number of interval elements below."""
+        """Elements of [x, y] in listed order, which is a linear extension."""
         if not self.leq(x, y):
             return []
-        members = [z for z in self.elements if self.leq(x, z) and self.leq(z, y)]
-        return sorted(
-            members, key=lambda z: (len(self._below[z]), self.elements.index(z))
-        )
+        return [z for z in self.elements if self.leq(x, z) and self.leq(z, y)]
 
     def induced(self, elements: Iterable[Hashable]) -> "FinitePosetView":
-        """The subposet on ``elements``, kept in the given order."""
-        view = FinitePosetView(elements, covers=[])
-        kept = set(view.elements)
-        for e in view.elements:
-            view._below[e] = self._below[e] & kept
-        return view
+        """The subposet on ``elements``, listed in this poset's order."""
+        kept = set(elements)
+        return FinitePosetView(
+            {e: bs & kept for e, bs in self._below.items() if e in kept}
+        )
 
     def delete(self, y: Hashable) -> "FinitePosetView":
         return self.induced(e for e in self.elements if e != y)
@@ -268,13 +253,11 @@ def mobius_poset(P: FinitePosetView, x: Hashable, y: Hashable) -> int:
 
 
 def interval_as_poset(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> FinitePosetView:
-    """The interval [sigma, pi] of the pattern poset as a FinitePosetView."""
+    """The interval [sigma, pi] of the pattern poset as a FinitePosetView,
+    listed in the order of the bottom-up walk (lengths ascending)."""
     members: list[Perm] = []
     below: dict[Perm, set[Perm]] = {}
     for tau, bits in _interval(sigma, pi, cap):
         below[tau] = {members[k] for k, b in enumerate(reversed(bin(bits))) if b == "1"}
         members.append(tau)
-    members.sort(key=lambda t: (len(t), t))
-    view = FinitePosetView(members, covers=[])
-    view._below = below
-    return view
+    return FinitePosetView(below)

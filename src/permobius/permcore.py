@@ -395,19 +395,6 @@ def apply_symmetry(label: str, pi: Perm) -> Perm:
     return symmetric_images(pi)[k]
 
 
-# The 8 images of this probe are distinct, so its image names the symmetry.
-_PROBE: Perm = (2, 4, 1, 3, 5)
-_PROBE_LABEL = dict(zip(symmetric_images(_PROBE), SYMMETRY_LABELS))
-assert len(_PROBE_LABEL) == 8
-
-
-def compose_symmetries(g: str, h: str) -> str:
-    """The label of "apply g, then h"."""
-    if g not in _LABEL_INDEX or h not in _LABEL_INDEX:
-        raise PermError(f"unknown symmetry in ({g!r}, {h!r})")
-    return _PROBE_LABEL[apply_symmetry(h, apply_symmetry(g, _PROBE))]
-
-
 def symmetry_orbit(pi: Perm) -> set[Perm]:
     """The distinct images of pi under the 8 symmetries."""
     return set(symmetric_images(pi))

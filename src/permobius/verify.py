@@ -10,7 +10,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .permcore import (
     Perm,
@@ -66,30 +66,26 @@ class TippedCore:
     w: Hashable = None
 
 
-def _principal_down(P: FinitePosetView, x: Hashable, top: Hashable) -> set:
-    return {v for v in P.elements if P.leq(x, v) and P.leq(v, top)}
-
-
 def check_tipped_core(
     P: FinitePosetView, x: Hashable, y: Hashable, core: TippedCore
 ) -> None:
     """Raise CoreInvariantError unless the core matches its definition on [x, y]."""
-    half_open = {v for v in P.elements if P.leq(x, v) and P.leq(v, y) and v != y}
+    half_open = set(P.interval(x, y)) - {y}
     if core.kind == "narrow":
         if core.z == x:
             raise CoreInvariantError("narrow core must differ from the bottom")
-        if half_open != _principal_down(P, x, core.z):
+        if half_open != set(P.interval(x, core.z)):
             raise CoreInvariantError("[x,y) != [x,z]")
         return
     if core.kind == "diamond":
         z, zp, w = core.z, core.z_prime, core.w
         if x in (z, zp, w):
             raise CoreInvariantError("diamond core elements must differ from the bottom")
-        dz = _principal_down(P, x, z)
-        dzp = _principal_down(P, x, zp)
+        dz = set(P.interval(x, z))
+        dzp = set(P.interval(x, zp))
         if half_open != dz | dzp:
             raise CoreInvariantError("[x,y) != [x,z] U [x,z']")
-        if dz & dzp != _principal_down(P, x, w):
+        if dz & dzp != set(P.interval(x, w)):
             raise CoreInvariantError("[x,z] n [x,z'] != [x,w]")
         return
     raise CoreInvariantError(f"unknown core kind {core.kind!r}")
@@ -197,13 +193,6 @@ def _grow_region(
     return grown
 
 
-def _view_from_below(below: dict) -> FinitePosetView:
-    view = FinitePosetView(list(below), covers=[])
-    for e, bs in below.items():
-        view._below[e] = set(bs)
-    return view
-
-
 def planted_narrow_poset(seed: int):
     """(P, x, y, core): random poset whose top's strict down-set is [x, z]."""
     rng = random.Random(seed)
@@ -214,7 +203,7 @@ def planted_narrow_poset(seed: int):
     below[z] = {x, *body, *(v for e in body for v in below[e])}
     y = 101
     below[y] = below[z] | {z}
-    return _view_from_below(below), x, y, TippedCore("narrow", z=z)
+    return FinitePosetView(below), x, y, TippedCore("narrow", z=z)
 
 
 def planted_diamond_poset(seed: int, extra_above: int = 0):
@@ -233,12 +222,10 @@ def planted_diamond_poset(seed: int, extra_above: int = 0):
     below[z] = {x, *core_body, w, *side_a}
     below[zp] = {x, *core_body, w, *side_b}
     below[y] = below[z] | below[zp] | {z, zp}
-    P = _view_from_below(below)
     if extra_above:
         pool = [e for e in below if e != y]
         _grow_region(rng, below, pool + [y], extra_above, start_id=500)
-        P = _view_from_below(below)
-    return P, x, y, TippedCore("diamond", z=z, z_prime=zp, w=w)
+    return FinitePosetView(below), x, y, TippedCore("diamond", z=z, z_prime=zp, w=w)
 
 
 def planted_deletion_case(seed: int):
@@ -372,49 +359,54 @@ def _suite_soundness(n_max: int, cache: MobiusCache) -> CheckResult:
     return CheckResult("rule-soundness-exhaustive", True, f"n<={n_max}")
 
 
+def _first_nonzero(hosts: Iterable[Perm], cache: MobiusCache) -> Optional[Perm]:
+    """The first host with mu(1, host) != 0, or None if every host is a zero."""
+    return next((h for h in hosts if principal_mobius(h, cache=cache) != 0), None)
+
+
 def _suite_cor_sum(cache: MobiusCache) -> CheckResult:
-    for la in range(1, 4):
-        for lb in range(1, 4):
-            if la + lb > 4:
-                continue
-            for alpha in itertools.permutations(range(1, la + 1)):
-                for beta in itertools.permutations(range(1, lb + 1)):
-                    phi = direct_sum(alpha, direct_sum(P1, beta))
-                    for tau in _perms_up_to(4):
-                        for i in range(1, len(tau) + 1):
-                            host = inflate_at(tau, [i], [phi])
-                            if principal_mobius(host, cache=cache) != 0:
-                                return CheckResult(
-                                    "cor-sum-sampled",
-                                    False,
-                                    f"mu(1,{fmt(host)}) != 0",
-                                )
+    phis = (
+        direct_sum(alpha, direct_sum(P1, beta))
+        for la in range(1, 4)
+        for lb in range(1, 5 - la)
+        for alpha in itertools.permutations(range(1, la + 1))
+        for beta in itertools.permutations(range(1, lb + 1))
+    )
+    hosts = (
+        inflate_at(tau, [i], [phi])
+        for phi in phis
+        for tau in _perms_up_to(4)
+        for i in range(1, len(tau) + 1)
+    )
+    host = _first_nonzero(hosts, cache)
+    if host is not None:
+        return CheckResult("cor-sum-sampled", False, f"mu(1,{fmt(host)}) != 0")
     return CheckResult("cor-sum-sampled", True, "|alpha|+|beta|<=4, |tau|<=4")
 
 
 def _suite_pairs(cache: MobiusCache) -> CheckResult:
-    for phi, psi in ANNIHILATOR_PAIRS[1:]:  # the four beyond (12, 21)
-        for tau in _perms_up_to(3):
-            if len(tau) < 2:
-                continue
-            for i, j in itertools.permutations(range(1, len(tau) + 1), 2):
-                host = inflate_at(tau, [i, j], [phi, psi])
-                if principal_mobius(host, cache=cache) != 0:
-                    return CheckResult(
-                        "pair-theorems-sampled", False, f"mu(1,{fmt(host)}) != 0"
-                    )
+    hosts = (
+        inflate_at(tau, [i, j], [phi, psi])
+        for phi, psi in ANNIHILATOR_PAIRS[1:]  # the four beyond (12, 21)
+        for tau in _perms_up_to(3)
+        for i, j in itertools.permutations(range(1, len(tau) + 1), 2)
+    )
+    host = _first_nonzero(hosts, cache)
+    if host is not None:
+        return CheckResult("pair-theorems-sampled", False, f"mu(1,{fmt(host)}) != 0")
     return CheckResult("pair-theorems-sampled", True, "4 pairs, |tau|<=3")
 
 
 def _suite_base_annihilators(cache: MobiusCache) -> CheckResult:
-    for base in BASE_ANNIHILATORS:
-        for tau in _perms_up_to(3):
-            for i in range(1, len(tau) + 1):
-                host = inflate_at(tau, [i], [base])
-                if principal_mobius(host, cache=cache) != 0:
-                    return CheckResult(
-                        "base-annihilators-sampled", False, f"mu(1,{fmt(host)}) != 0"
-                    )
+    hosts = (
+        inflate_at(tau, [i], [base])
+        for base in BASE_ANNIHILATORS
+        for tau in _perms_up_to(3)
+        for i in range(1, len(tau) + 1)
+    )
+    host = _first_nonzero(hosts, cache)
+    if host is not None:
+        return CheckResult("base-annihilators-sampled", False, f"mu(1,{fmt(host)}) != 0")
     return CheckResult("base-annihilators-sampled", True, "3 bases, |tau|<=3")
 
 

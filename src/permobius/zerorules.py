@@ -131,7 +131,7 @@ def certify_zero(pi: Perm, include_conjectured: bool = False) -> Optional[ZeroCe
     """The first applicable zero certificate for pi, or None.
 
     Precedence: opposing adjacencies, then sum-split intervals of pi (label
-    "id") or of its reverse ("r"), which covers every symmetry, then base
+    "id") or of its reverse ("r"), which suffices for every symmetry, then base
     annihilators under all 8 symmetries, then annihilator pairs (same
     symmetry applied to both members, windows disjoint).  The precedence is
     cosmetic; every rule is sound.

@@ -8,11 +8,12 @@ values by the definitional recursion over exact (non-canonicalized) keys.
 ``recursive_principal_mobius`` keeps the library's earlier principal
 evaluator as a second, independent engine, and ``brute_sum_split`` the
 earlier sum-split search.  ``i_switch`` is the parity-reversing involution
-on embeddings from the proof of Theorem 1.
+on embeddings from the proof of Theorem 1.  ``poset_from_covers`` builds a
+FinitePosetView from a cover list by closing it transitively.
 """
 import itertools
 
-from permobius.mobius import P1, MobiusCache
+from permobius.mobius import P1, FinitePosetView, MobiusCache
 from permobius.permcore import DOWN_SET_CAP, Embedding, PermError, down_set, pattern_of
 from permobius.zerorules import certify_zero
 
@@ -135,6 +136,26 @@ def recursive_principal_mobius(pi, pruned=True, cache=None, cap=DOWN_SET_CAP):
         return val
 
     return rec(pi)
+
+
+def poset_from_covers(elements, covers):
+    """The poset on ``elements`` whose order is generated by the cover pairs
+    (lo, hi).  The down-sets are closed by a fixpoint loop and the elements
+    listed by down-set size, a linear extension unless the covers have a
+    cycle, which the view then rejects with PermError."""
+    below = {e: set() for e in elements}
+    for lo, hi in covers:
+        below[hi].add(lo)
+    changed = True
+    while changed:
+        changed = False
+        for bs in below.values():
+            extra = set().union(*(below[b] for b in bs)) - bs
+            if extra:
+                bs |= extra
+                changed = True
+    order = sorted(below, key=lambda e: len(below[e]))
+    return FinitePosetView({e: below[e] for e in order})
 
 
 def i_switch(e, i):

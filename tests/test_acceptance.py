@@ -21,7 +21,7 @@ from permobius import (
     run_theorem_suites,
     zero_density,
 )
-from permobius.census import adjacency_counts, build_principal_table, count_adjacency_classes
+from permobius.census import LevelTables, adjacency_counts, count_adjacency_classes
 
 EXPECTED_DENSITIES = {
     1: "0.0000",
@@ -40,10 +40,11 @@ B_SEQ = (1, 0, 0, 2, 14, 90, 646)
 
 @pytest.fixture(scope="module")
 def mu_table8():
+    """mu(1, pi) for every |pi| <= 8, served through the MobiusCache get/put."""
     start = time.monotonic()
-    table = build_principal_table(8)
+    table = LevelTables(8)
     elapsed = time.monotonic() - start
-    assert elapsed < 900, f"principal table to n=8 took {elapsed:.0f}s"
+    assert elapsed < 900, f"level tables to n=8 took {elapsed:.0f}s"
     return table
 
 

@@ -18,7 +18,13 @@ from permobius import (
     principal_mobius,
 )
 from permobius.permcore import Embedding
-from oracles import brute_mobius, i_switch, recursive_principal_mobius
+from oracles import (
+    brute_down_set,
+    brute_mobius,
+    i_switch,
+    poset_from_covers,
+    recursive_principal_mobius,
+)
 
 perms_of = lambda n: itertools.permutations(range(1, n + 1))
 
@@ -212,7 +218,7 @@ class TestISwitch:
 
 class TestPosetView:
     def test_chain(self):
-        P = FinitePosetView(["a", "b", "c"], covers={("a", "b"), ("b", "c")})
+        P = poset_from_covers(["a", "b", "c"], {("a", "b"), ("b", "c")})
         assert P.leq("a", "c")
         assert not P.leq("c", "a")
         assert P.interval("a", "c") == ["a", "b", "c"]
@@ -221,12 +227,12 @@ class TestPosetView:
 
     def test_diamond(self):
         covers = {(0, 1), (0, 2), (1, 3), (2, 3)}
-        P = FinitePosetView([0, 1, 2, 3], covers=covers)
+        P = poset_from_covers([0, 1, 2, 3], covers)
         assert mobius_poset(P, 0, 3) == 1
 
     def test_less_predicate(self):
         covers = {(a, a * p) for a in range(1, 13) for p in (2, 3, 5, 7, 11) if a * p <= 12}
-        P = FinitePosetView(list(range(1, 13)), covers=covers)
+        P = poset_from_covers(list(range(1, 13)), covers)
         # classic number-theoretic Mobius on divisors of 12
         assert mobius_poset(P, 1, 12) == 0
         assert mobius_poset(P, 1, 6) == 1
@@ -234,14 +240,18 @@ class TestPosetView:
         assert mobius_poset(P, 1, 2) == -1
 
     def test_delete(self):
-        P = FinitePosetView([0, 1, 2, 3], covers={(0, 1), (0, 2), (1, 3), (2, 3)})
+        P = poset_from_covers([0, 1, 2, 3], {(0, 1), (0, 2), (1, 3), (2, 3)})
         Q = P.delete(2)
         assert set(Q.elements) == {0, 1, 3}
         assert mobius_poset(Q, 0, 3) == 0
 
     def test_validation(self):
         with pytest.raises(PermError):
-            FinitePosetView([0, 1], covers={(0, 1), (1, 0)})
+            poset_from_covers([0, 1], {(0, 1), (1, 0)})
+        with pytest.raises(PermError):  # names an element listed later
+            FinitePosetView({0: [1], 1: []})
+        with pytest.raises(PermError):  # names an unknown element
+            FinitePosetView({0: [], 1: [0, 9]})
 
     def test_interval_as_poset_agrees(self):
         rng = random.Random(13)
@@ -250,6 +260,17 @@ class TestPosetView:
             pi = tuple(rng.sample(range(1, n + 1), n))
             P = interval_as_poset((1,), pi)
             assert mobius_poset(P, (1,), pi) == principal_mobius(pi)
+
+    def test_interval_as_poset_down_sets(self):
+        # every decoded down-set of [1, pi] against the subsequence oracle
+        patterns = {}
+        for n in range(1, 7):
+            for pi in perms_of(n):
+                P = interval_as_poset((1,), pi)
+                for tau in P.elements:
+                    if tau not in patterns:
+                        patterns[tau] = brute_down_set(tau) - {tau}
+                    assert P.strictly_below(tau) == patterns[tau], (pi, tau)
 
 
 class TestLongHosts:

@@ -2,7 +2,7 @@
 symmetry invariance of mu(1, .) and of the zero rules, and the sum-split
 certificate against a brute-force scan of all 8 symmetric images."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permobius import (
@@ -11,11 +11,13 @@ from permobius import (
     SumAnnihilator,
     apply_symmetry,
     certify_zero,
+    direct_sum,
     has_opposing_adjacencies,
     interval_set,
     mobius,
     pattern_of,
     principal_mobius,
+    skew_sum,
 )
 from oracles import brute_mobius, brute_sum_split, brute_symmetry
 
@@ -50,8 +52,30 @@ def test_certificate_existence_symmetry_invariance(pi):
         assert (certify_zero(apply_symmetry(g, pi)) is not None) == certified
 
 
+def _join_blocks(blocks):
+    pi = blocks[0][0]
+    for block, skew in blocks[1:]:
+        pi = skew_sum(pi, block) if skew else direct_sum(pi, block)
+    return pi
+
+
+def block_sums():
+    """2-6 random blocks joined left to right by direct or skew sums, which
+    plants sum splits of pi (direct) and of its reverse (skew)."""
+    blocks = st.tuples(perms(max_size=5), st.booleans())
+    return st.lists(blocks, min_size=2, max_size=6).map(_join_blocks)
+
+
 @PROPERTY_SETTINGS
-@given(perms(min_size=8, max_size=30).filter(lambda p: not has_opposing_adjacencies(p)))
+@given(
+    st.one_of(perms(min_size=8, max_size=30), block_sums()).filter(
+        lambda p: len(p) >= 8 and not has_opposing_adjacencies(p)
+    )
+)
+# (2413 + 1 + 3142) - 1 - 2413 has a direct and a skew witness;
+# 2413 - 1 - 3142 only a skew one, so its first witness is under r
+@example((7, 9, 6, 8, 10, 13, 11, 14, 12, 5, 2, 4, 1, 3))
+@example((7, 9, 6, 8, 5, 3, 1, 4, 2))
 def test_sum_split_certificate_matches_all_images(pi):
     # the first witness in SYMMETRY_LABELS order over all 8 images, which
     # certify_zero finds by scanning pi and its reverse only

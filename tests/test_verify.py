@@ -4,7 +4,6 @@ import pytest
 
 from permobius import (
     CoreInvariantError,
-    FinitePosetView,
     PermError,
     PreconditionError,
     parse,
@@ -27,6 +26,7 @@ from permobius.verify import (
     reconstruct_214635_diamond,
     reconstruct_214653_diamond,
 )
+from oracles import poset_from_covers
 
 
 class TestTippedCores:
@@ -138,14 +138,14 @@ class TestChecks:
             check_eq_cancel_thm1(parse("2413"), 1, 2)
 
     def test_tipped_core_detects_fake(self):
-        P = FinitePosetView([0, 1, 2, 3], covers={(0, 1), (0, 2), (1, 3), (2, 3)})
+        P = poset_from_covers([0, 1, 2, 3], {(0, 1), (0, 2), (1, 3), (2, 3)})
         # [0, 3) = {0, 1, 2} is not a principal down-set of any single element
         with pytest.raises(CoreInvariantError):
             check_tipped_core(P, 0, 3, TippedCore("narrow", z=1))
 
     def test_fac_del_precondition(self):
         # deleting an element whose value is nonzero is out of scope
-        P = FinitePosetView([0, 1, 2], covers={(0, 1), (1, 2)})
+        P = poset_from_covers([0, 1, 2], {(0, 1), (1, 2)})
         with pytest.raises(PreconditionError):
             check_fac_del(P, 0, 1)
 
