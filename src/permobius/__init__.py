@@ -34,7 +34,7 @@ from .mobius import (
     FinitePosetView,
     MobiusCache,
     interval_as_poset,
-    interval_set,
+    interval_mobius,
     mobius,
     mobius_poset,
     principal_mobius,

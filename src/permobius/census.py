@@ -41,7 +41,7 @@ from .permcore import (
     is_simple,
     symmetry_orbit,
 )
-from .mobius import P1, MobiusCache, principal_mobius
+from .mobius import MobiusCache, principal_mobius
 from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, certify_zero
 
 #: Direct S_n scans are refused above this length.
@@ -229,15 +229,15 @@ class LevelTables:
             v * (below & m).bit_count() for v, m in self.classes.items()
         )
 
-    def get(self, sigma: Perm, pi: Perm) -> Optional[int]:
+    def get(self, pi: Perm) -> Optional[int]:
         """The read side of the MobiusCache protocol: mu(1, pi) for
         |pi| <= n, None otherwise, so ``principal_mobius`` can use the
         tables as its cache."""
-        if sigma == P1 and len(pi) <= self.n:
+        if len(pi) <= self.n:
             return self.mobius(pi)
         return None
 
-    def put(self, sigma: Perm, pi: Perm, value: int) -> None:
+    def put(self, pi: Perm, value: int) -> None:
         """Values outside the tables are not kept."""
 
     def mobius(self, pi: Perm) -> int:
@@ -270,7 +270,7 @@ def build_principal_table(n_max: int, cache: Optional[MobiusCache] = None) -> Mo
     for n in range(2, n_max + 1):
         for pi in itertools.permutations(range(1, n + 1)):
             if pi == min(symmetry_orbit(pi)):
-                cache.put(P1, pi, tables.mobius(pi))
+                cache.put(pi, tables.mobius(pi))
     return cache
 
 
@@ -330,18 +330,32 @@ def _scan_chunk(bounds: tuple[int, int]) -> dict:
     }
 
 
+_CHUNK_KEYS = {"chunk", "zeros", "certified", "simple", "simple_nonzero"}
+
+
 def _load_checkpoint(path: str, n: int) -> dict:
+    """The finished chunks of a checkpoint file by rank range; PermError if
+    the file is not a checkpoint of this run."""
     if not path or not os.path.exists(path):
         return {}
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise PermError(f"checkpoint {path} is not valid JSON: {exc}") from None
     if (
-        data.get("version") != CHECKPOINT_VERSION
+        not isinstance(data, dict)
+        or data.get("version") != CHECKPOINT_VERSION
         or data.get("n") != n
         or data.get("fingerprint") != _fingerprint()
     ):
         raise PermError(f"checkpoint {path} does not match this run")
-    return {tuple(c["chunk"]): c for c in data.get("chunks", [])}
+    chunks = data.get("chunks", [])
+    if not isinstance(chunks, list) or not all(
+        isinstance(c, dict) and c.keys() >= _CHUNK_KEYS for c in chunks
+    ):
+        raise PermError(f"checkpoint {path} has a malformed chunk")
+    return {tuple(c["chunk"]): c for c in chunks}
 
 
 def _save_checkpoint(path: str, n: int, done: dict) -> None:

@@ -4,12 +4,12 @@ The permutation evaluator builds the interval [sigma, pi] once, top-down by
 single-point deletion, one level per length, and fills values bottom-up:
 each element's strict down-set in the interval is a Python-int bitset, and
 mu(sigma, tau) is a popcount against the bitsets of the elements holding
-each nonzero value.  An optional cache memoizes top-level values; for
-principal intervals (lower bound 1) keys are canonicalized under the 8
-symmetries, which is sound because the principal Mobius function is
-symmetry-invariant.  Interior zeros are computed like every other value;
-the earlier recursion that skipped rule-certified zeros survives as a test
-oracle.
+each nonzero value.  ``interval_mobius`` returns every value of that pass.
+An optional cache memoizes principal values mu(1, pi) only, keyed by the
+symmetry-canonical form of pi, which is sound because the principal Mobius
+function is symmetry-invariant; values with another lower bound are not
+cached.  Interior zeros are computed like every other value; the earlier
+recursion that skipped rule-certified zeros survives as a test oracle.
 """
 from __future__ import annotations
 
@@ -33,45 +33,31 @@ P1: Perm = (1,)
 
 
 class MobiusCache:
-    """Memo table from (lower, upper) keys to Mobius values.
+    """Memo table of principal values mu(1, pi), keyed by the
+    symmetry-canonical form of pi.
 
-    Keys for lower bound 1 are stored under the symmetry-canonical form of
-    the upper bound.  Concurrent use is safe under last-writer-wins because
-    all writers compute identical values.
+    Concurrent use is safe under last-writer-wins because all writers
+    compute identical values.
     """
 
     def __init__(self) -> None:
-        self._data: dict[tuple[bytes, bytes], int] = {}
+        self._data: dict[bytes, int] = {}
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _key(sigma: Perm, pi: Perm) -> tuple[bytes, bytes]:
-        if sigma == P1:
-            return (b"\x01", bytes(canonical_symmetry_form(pi)))
-        return (bytes(sigma), bytes(pi))
-
-    def get(self, sigma: Perm, pi: Perm) -> Optional[int]:
-        v = self._data.get(self._key(sigma, pi))
+    def get(self, pi: Perm) -> Optional[int]:
+        v = self._data.get(bytes(canonical_symmetry_form(pi)))
         if v is None:
             self.misses += 1
         else:
             self.hits += 1
         return v
 
-    def put(self, sigma: Perm, pi: Perm, value: int) -> None:
-        self._data[self._key(sigma, pi)] = value
+    def put(self, pi: Perm, value: int) -> None:
+        self._data[bytes(canonical_symmetry_form(pi))] = value
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._data)}
 
 
 def _interval(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
@@ -113,28 +99,35 @@ def _interval(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
         closed = above
 
 
-def interval_set(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> set[Perm]:
-    """The interval [sigma, pi] as a set; empty if sigma !<= pi.  An empty
-    sigma gives [1, pi]: the empty permutation itself is left out."""
-    return {tau for tau, _ in _interval(sigma or P1, pi, cap)}
-
-
-def _interval_mobius(sigma: Perm, pi: Perm, cap: int) -> int:
-    """mu(sigma, pi) for sigma <= pi, by one bottom-up pass over the interval.
+def _walk_mobius(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
+    """Yield ``(tau, mu(sigma, tau))`` for each tau of [sigma, pi] in the
+    order of ``_interval``, by one bottom-up pass.
 
     ``classes[v]`` is the bitset of the elements with value v != 0, so
     mu(sigma, tau) = -sum_v v * |below(tau) & classes[v]|.
     """
     classes: dict[int, int] = {}
-    bit = 0
-    for _tau, below in _interval(sigma, pi, cap):
+    for bit, (tau, below) in enumerate(_interval(sigma, pi, cap)):
         if below:
             value = -sum(v * (below & m).bit_count() for v, m in classes.items())
         else:
             value = 1
         if value:
             classes[value] = classes.get(value, 0) | (1 << bit)
-        bit += 1
+        yield tau, value
+
+
+def interval_mobius(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> dict[Perm, int]:
+    """mu(sigma, tau) for every tau in [sigma, pi], in walk order (lengths
+    ascending); empty if sigma !<= pi.  An empty sigma stands for 1: the
+    empty permutation itself is left out."""
+    return dict(_walk_mobius(sigma or P1, pi, cap))
+
+
+def _interval_mobius(sigma: Perm, pi: Perm, cap: int) -> int:
+    """mu(sigma, pi) for sigma <= pi: the last value of the walk."""
+    for _tau, value in _walk_mobius(sigma, pi, cap):
+        pass
     return value
 
 
@@ -146,9 +139,9 @@ def principal_mobius(
 ) -> int:
     """mu(1, pi), the principal Mobius function of a nonempty permutation.
 
-    ``cache`` is probed once for pi and receives only the value of pi; any
-    object with MobiusCache's ``get`` and ``put`` will do, such as the
-    census level tables.
+    ``cache`` is probed once with ``get(pi)`` and receives only the value of
+    pi through ``put(pi, value)``; any object with that protocol will do,
+    such as the census level tables.
     ``pruned`` changes nothing: every interior value comes from the one
     interval pass.  It stays only because the benchmark's cross-check
     (``bench/run.py``) passes ``pruned=False``.
@@ -158,25 +151,17 @@ def principal_mobius(
     if len(pi) == 1:
         return 1
     if cache is not None:
-        hit = cache.get(P1, pi)
+        hit = cache.get(pi)
         if hit is not None:
             return hit
     value = _interval_mobius(P1, pi, cap)
     if cache is not None:
-        cache.put(P1, pi, value)
+        cache.put(pi, value)
     return value
 
 
-def mobius(
-    sigma: Perm,
-    pi: Perm,
-    cache: Optional[MobiusCache] = None,
-    cap: int = DOWN_SET_CAP,
-) -> int:
-    """mu(sigma, pi) by the definitional recursion, evaluated bottom-up.
-
-    ``cache`` is probed once for (sigma, pi) and receives only that value.
-    """
+def mobius(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> int:
+    """mu(sigma, pi) by the definitional recursion, evaluated bottom-up."""
     if not sigma:
         raise PermError("lower bound must be nonempty")
     if sigma == pi:
@@ -184,15 +169,8 @@ def mobius(
     if not contains(sigma, pi):
         return 0
     if sigma == P1:
-        return principal_mobius(pi, cache=cache, cap=cap)
-    if cache is not None:
-        hit = cache.get(sigma, pi)
-        if hit is not None:
-            return hit
-    value = _interval_mobius(sigma, pi, cap)
-    if cache is not None:
-        cache.put(sigma, pi, value)
-    return value
+        return principal_mobius(pi, cap=cap)
+    return _interval_mobius(sigma, pi, cap)
 
 
 class FinitePosetView:

@@ -13,7 +13,7 @@ FinitePosetView from a cover list by closing it transitively.
 """
 import itertools
 
-from permobius.mobius import P1, FinitePosetView, MobiusCache
+from permobius.mobius import FinitePosetView, MobiusCache
 from permobius.permcore import DOWN_SET_CAP, Embedding, PermError, down_set, pattern_of
 from permobius.zerorules import certify_zero
 
@@ -121,7 +121,7 @@ def recursive_principal_mobius(pi, pruned=True, cache=None, cap=DOWN_SET_CAP):
     def rec(p):
         if len(p) == 1:
             return 1
-        hit = cache.get(P1, p)
+        hit = cache.get(p)
         if hit is not None:
             return hit
         total = 0
@@ -132,7 +132,7 @@ def recursive_principal_mobius(pi, pruned=True, cache=None, cap=DOWN_SET_CAP):
                 continue
             total += rec(tau)
         val = -total
-        cache.put(P1, p, val)
+        cache.put(p, val)
         return val
 
     return rec(pi)

@@ -3,9 +3,10 @@
 ``bench/tracing.py`` wraps the functions listed in its ``LAYER_PATCHES`` on
 the module each consumer looks them up in, and ``bench/run.py`` times two
 census functions by name and cross-checks ``pmu`` values with
-``principal_mobius(pruned=False)``.  The benchmark's own tests run outside
-this suite, so this guard catches a rename or removal here first.  The
-tracer source is compiled in memory; nothing under ``bench/`` is written.
+``principal_mobius(pruned=False)``; the tracer also reads the counters of
+every ``MobiusCache``.  The benchmark's own tests run outside this suite, so
+this guard catches a rename or removal here first.  The tracer source is
+compiled in memory; nothing under ``bench/`` is written.
 """
 import importlib
 import types
@@ -35,3 +36,13 @@ def test_run_py_names_resolve():
         assert callable(getattr(census, name, None)), name
     # bench/run.py::cross_check_unpruned
     assert principal_mobius((2, 4, 1, 3), pruned=False, cache=MobiusCache()) == -3
+
+
+def test_cache_counters_the_tracer_reads():
+    # bench/tracing.py::Tracer.end_command folds hits, misses and len() of
+    # every MobiusCache a command creates
+    cache = MobiusCache()
+    principal_mobius((2, 4, 1, 3), cache=cache)
+    principal_mobius((3, 1, 4, 2), cache=cache)  # the reverse: one shared entry
+    assert type(cache.hits) is int and type(cache.misses) is int
+    assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)

@@ -170,7 +170,7 @@ class TestZeroDensity:
 
     @pytest.mark.skipif(
         os.environ.get("PERMOBIUS_STRETCH") != "1",
-        reason="stretch; set PERMOBIUS_STRETCH=1 to run (about 10 s on one worker)",
+        reason="stretch; set PERMOBIUS_STRETCH=1 to run (about 3 s on one worker)",
     )
     def test_n9_row(self):
         row = emit_table([zero_density(9)], format="csv").splitlines()[1]

@@ -94,6 +94,29 @@ class TestCensus:
         assert code == EXIT_BUDGET
         assert err.startswith("error:") and out == ""
 
+    def corrupt_checkpoint(self, capsys, path, edit):
+        # a finished checkpoint of census --n 5, corrupted by ``edit``
+        assert run(capsys, "census", "--n", "5", "--checkpoint", str(path))[0] == EXIT_OK
+        path.write_text(edit(path.read_text()))
+        code, out, err = run(capsys, "census", "--n", "5", "--checkpoint", str(path))
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error: checkpoint") and err.count("\n") == 1
+        assert out == ""
+
+    def test_truncated_checkpoint(self, capsys, tmp_path):
+        self.corrupt_checkpoint(capsys, tmp_path / "ck.json", lambda text: text[: len(text) // 2])
+
+    def test_checkpoint_not_an_object(self, capsys, tmp_path):
+        self.corrupt_checkpoint(capsys, tmp_path / "ck.json", lambda text: "[]")
+
+    def test_checkpoint_chunk_without_zeros(self, capsys, tmp_path):
+        def drop_zeros(text):
+            data = json.loads(text)
+            del data["chunks"][0]["zeros"]
+            return json.dumps(data)
+
+        self.corrupt_checkpoint(capsys, tmp_path / "ck.json", drop_zeros)
+
 
 class TestVerify:
     def test_text(self, capsys):

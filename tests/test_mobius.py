@@ -170,12 +170,6 @@ class TestCache:
             principal_mobius(apply_symmetry(g, pi), cache=c)
         assert c.misses == before  # all eight variants share one entry
 
-    def test_clear(self):
-        c = MobiusCache()
-        principal_mobius(parse("2413"), cache=c)
-        c.clear()
-        assert c.stats()["entries"] == 0 and c.hits == 0 and c.misses == 0
-
 
 class TestISwitch:
     def test_worked_example(self):

@@ -21,7 +21,7 @@ from permobius import (
     inflate,
     inflate_at,
     interval_copies,
-    interval_set,
+    interval_mobius,
     intervals,
     is_simple,
     parse,
@@ -35,6 +35,7 @@ from oracles import (
     brute_contains,
     brute_down_set,
     brute_intervals,
+    brute_mobius,
     brute_sum_split,
     brute_symmetry,
 )
@@ -234,16 +235,16 @@ class TestDeletionLevels:
             deletion_levels(parse("2413"), 1, cap=7)
 
 
-class TestIntervalSet:
+class TestIntervalMobius:
     def test_examples(self):
-        got = interval_set(parse("12"), parse("2413"))
+        got = interval_mobius(parse("12"), parse("2413"))
         want = {parse(s) for s in ("12", "132", "213", "231", "312", "2413")}
-        assert got == want
+        assert got.keys() == want
         pi = parse("2413")
-        assert interval_set(pi, pi) == {pi}
-        assert interval_set(parse("21"), parse("12")) == set()
+        assert interval_mobius(pi, pi) == {pi: 1}
+        assert interval_mobius(parse("21"), parse("12")) == {}
 
-    def test_matches_brute_force_exhaustive(self):
+    def test_keys_match_brute_force_exhaustive(self):
         # every pair with |pi| <= 5, including sigma = (), sigma == pi,
         # incomparable sigma and sigma longer than pi
         below = {pi: brute_down_set(pi) for pi in perms_up_to(5)}
@@ -255,8 +256,35 @@ class TestIntervalSet:
                     for t in below.get(pi, ())
                     if not sigma or sigma in below.get(t, ())
                 }
-                assert interval_set(sigma, pi) == want, (sigma, pi)
+                assert interval_mobius(sigma, pi).keys() == want, (sigma, pi)
                 assert bool(want) == (bool(pi) and brute_contains(sigma, pi))
+
+    def test_values_match_brute_mobius(self):
+        memo = {}
+        for pi in perms_up_to(5):
+            for sigma in brute_down_set(pi):
+                got = interval_mobius(sigma, pi)
+                for tau, value in got.items():
+                    assert value == brute_mobius(sigma, tau, memo), (sigma, tau)
+
+    def test_keys_are_the_brute_interval_in_walk_order(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            pi = tuple(rng.sample(range(1, n + 1), n))
+            positions = sorted(rng.sample(range(n), rng.randint(1, n)))
+            sigma = pattern_of([pi[p] for p in positions])
+            keys = list(interval_mobius(sigma, pi))
+            want = {t for t in brute_down_set(pi) if brute_contains(sigma, t)}
+            assert set(keys) == want
+            assert keys[0] == sigma and keys[-1] == pi
+            assert [len(t) for t in keys] == sorted(len(t) for t in keys)
+
+    def test_empty_when_sigma_not_below(self):
+        for pi in perms_up_to(5):
+            for sigma in perms_up_to(len(pi) + 1):
+                if not brute_contains(sigma, pi):
+                    assert interval_mobius(sigma, pi) == {}, (sigma, pi)
 
 
 class TestCompose:
