@@ -187,6 +187,10 @@ class LevelTables:
     tuple of its children's closures.  ``classes[v]`` is the bitset of the
     numbered permutations of value v.  Raises BudgetError once the closures
     pass ``LEVEL_BUDGET_BYTES``.
+
+    Through ``get``/``put`` the tables are a full principal cache: lengths
+    up to n are read off the tables, longer permutations are memoized in
+    ``memo``, a MobiusCache the tables own.
     """
 
     def __init__(self, n: int) -> None:
@@ -196,6 +200,7 @@ class LevelTables:
         self.closures: dict[Perm, int] = {(): 0}
         self.top: dict[Perm, tuple[int, tuple[int, ...]]] = {}
         self.classes: dict[int, int] = {}
+        self.memo = MobiusCache()
         closures, classes = self.closures, self.classes
         bit = size = 0
         for k in range(1, n):
@@ -230,15 +235,18 @@ class LevelTables:
         )
 
     def get(self, pi: Perm) -> Optional[int]:
-        """The read side of the MobiusCache protocol: mu(1, pi) for
-        |pi| <= n, None otherwise, so ``principal_mobius`` can use the
-        tables as its cache."""
+        """The read side of the MobiusCache protocol, so ``principal_mobius``
+        can use the tables as its cache: mu(1, pi) from the tables for
+        |pi| <= n, and beyond n the memoized value of pi or a symmetric
+        image, None if ``put`` has not stored one."""
         if len(pi) <= self.n:
             return self.mobius(pi)
-        return None
+        return self.memo.get(pi)
 
     def put(self, pi: Perm, value: int) -> None:
-        """Values outside the tables are not kept."""
+        """Memoize mu(1, pi) for |pi| > n; shorter values are in the tables."""
+        if len(pi) > self.n:
+            self.memo.put(pi, value)
 
     def mobius(self, pi: Perm) -> int:
         """mu(1, pi) for a permutation pi with 1 <= |pi| <= n."""

@@ -99,9 +99,10 @@ def _interval(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
         closed = above
 
 
-def _walk_mobius(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
-    """Yield ``(tau, mu(sigma, tau))`` for each tau of [sigma, pi] in the
-    order of ``_interval``, by one bottom-up pass.
+def _walk_mobius(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int, int]]:
+    """Yield ``(tau, below, mu(sigma, tau))`` for each tau of [sigma, pi] in
+    the order and with the strict down-set bitsets of ``_interval``, by one
+    bottom-up pass.
 
     ``classes[v]`` is the bitset of the elements with value v != 0, so
     mu(sigma, tau) = -sum_v v * |below(tau) & classes[v]|.
@@ -114,19 +115,19 @@ def _walk_mobius(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
             value = 1
         if value:
             classes[value] = classes.get(value, 0) | (1 << bit)
-        yield tau, value
+        yield tau, below, value
 
 
 def interval_mobius(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> dict[Perm, int]:
     """mu(sigma, tau) for every tau in [sigma, pi], in walk order (lengths
     ascending); empty if sigma !<= pi.  An empty sigma stands for 1: the
     empty permutation itself is left out."""
-    return dict(_walk_mobius(sigma or P1, pi, cap))
+    return {tau: value for tau, _below, value in _walk_mobius(sigma or P1, pi, cap)}
 
 
 def _interval_mobius(sigma: Perm, pi: Perm, cap: int) -> int:
     """mu(sigma, pi) for sigma <= pi: the last value of the walk."""
-    for _tau, value in _walk_mobius(sigma, pi, cap):
+    for _tau, _below, value in _walk_mobius(sigma, pi, cap):
         pass
     return value
 

@@ -5,17 +5,20 @@ Random structures are driven by explicit seeds recorded in the report.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .permcore import (
+    DOWN_SET_CAP,
     Perm,
     PermError,
     adjacencies,
+    deletions,
     direct_sum,
     down_set,
     fmt,
@@ -24,10 +27,11 @@ from .permcore import (
     parse,
     pattern_of,
 )
+from .census import LevelTables
 from .mobius import (
     FinitePosetView,
-    MobiusCache,
     P1,
+    _walk_mobius,
     interval_as_poset,
     interval_mobius,
     mobius,
@@ -139,32 +143,62 @@ def check_pro_form(
     return mu[pi] == rhs
 
 
+def _walk_closures(pi: Perm) -> dict[Perm, int]:
+    """The closure of every tau in [1, pi], the bitset of the nonzero-valued
+    elements at or below tau, from one bottom-up walk: the layout of
+    ``LevelTables.closures``, with bit k for the k-th element walked."""
+    closures: dict[Perm, int] = {}
+    nonzero = 0
+    for bit, (tau, below, value) in enumerate(_walk_mobius(P1, pi, DOWN_SET_CAP)):
+        if value:
+            nonzero |= 1 << bit
+        closures[tau] = (below | 1 << bit) & nonzero
+    return closures
+
+
 def check_eq_cancel_thm1(
-    pi: Perm, i: int, j: int, cache: Optional[MobiusCache] = None
+    pi: Perm, i: int, j: int, tables: Optional[LevelTables] = None
 ) -> bool:
     """Parity cancellation of the four wide embeddings around an up-adjacency
-    at i and a down-adjacency at j, for every nonzero interior element."""
+    at i and a down-adjacency at j, for every nonzero interior element.
+
+    The sources are pi without i, without j and without both.  For every
+    lam < pi with mu(1, lam) != 0, the signs of pi and of the sources above
+    lam must cancel: (-1)^|pi| + sum of (-1)^|src| over src >= lam is 0.
+    The test reads closures, the bitsets of the nonzero-valued permutations
+    at or below a permutation: those of ``tables`` when they reach pi
+    (|pi| < tables.n), else those of one walk of [1, pi].  The nonzero
+    lam < pi are the OR of the closures of pi's deletions; each of the 8
+    ways to lie above or not above each source is one AND with the sources'
+    closures or their complements, and must hold no lam where the signed
+    sum is nonzero.
+    """
     ups, downs = adjacencies(pi)
     if i not in ups or j not in downs:
         raise PreconditionError(
             f"{fmt(pi)} has no up-adjacency at {i} / down-adjacency at {j}"
         )
-    if cache is None:
-        cache = MobiusCache()
-    sources = [
-        pattern_of(tuple(v for p, v in enumerate(pi, start=1) if p not in gone))
-        for gone in ((i,), (j,), (i, j))
-    ]
-    if any(len(src) == 1 for src in sources):
-        return False
-    # the sources above lam, pi itself among them, must cancel by parity; the
-    # sources are patterns of pi, so [1, pi] orders lam against each of them
-    P = interval_as_poset(P1, pi)
-    signed = [((-1) ** len(src), src) for src in sources]
-    for lam in P.elements:
-        if lam == pi or principal_mobius(lam, cache=cache) == 0:
-            continue
-        if (-1) ** len(pi) + sum(sign for sign, src in signed if P.leq(lam, src)):
+    if tables is not None and len(pi) < tables.n:
+        closures = tables.closures
+    else:
+        closures = _walk_closures(pi)
+    below = 0
+    for c in deletions(pi):
+        below |= closures[c]
+    sources = []
+    for gone in ((i,), (j,), (i, j)):
+        src = pattern_of(tuple(v for p, v in enumerate(pi, start=1) if p not in gone))
+        sources.append(((-1) ** len(src), closures[src]))
+    for pattern in itertools.product((True, False), repeat=len(sources)):
+        signed = (-1) ** len(pi)
+        lams = below
+        for (sign, closure), above in zip(sources, pattern):
+            if above:
+                signed += sign
+                lams &= closure
+            else:
+                lams &= ~closure
+        if signed and lams:
             return False
     return True
 
@@ -334,14 +368,14 @@ def _perms_up_to(n_max: int):
         yield from itertools.permutations(range(1, n + 1))
 
 
-def _suite_theorem1(n_max: int, cache: MobiusCache) -> CheckResult:
+def _suite_theorem1(n_max: int, tables: LevelTables) -> CheckResult:
     for pi in _perms_up_to(n_max):
-        if has_opposing_adjacencies(pi) and principal_mobius(pi, cache=cache) != 0:
+        if has_opposing_adjacencies(pi) and principal_mobius(pi, cache=tables) != 0:
             return CheckResult("theorem1-exhaustive", False, f"counterexample {fmt(pi)}")
     return CheckResult("theorem1-exhaustive", True, f"n<={n_max}")
 
 
-def _suite_soundness(n_max: int, cache: MobiusCache) -> CheckResult:
+def _suite_soundness(n_max: int, tables: LevelTables) -> CheckResult:
     for pi in _perms_up_to(n_max):
         cert = certify_zero(pi)
         if cert is None:
@@ -350,19 +384,19 @@ def _suite_soundness(n_max: int, cache: MobiusCache) -> CheckResult:
             return CheckResult(
                 "rule-soundness-exhaustive", False, f"invalid witness for {fmt(pi)}"
             )
-        if principal_mobius(pi, cache=cache) != 0:
+        if principal_mobius(pi, cache=tables) != 0:
             return CheckResult(
                 "rule-soundness-exhaustive", False, f"false certificate for {fmt(pi)}"
             )
     return CheckResult("rule-soundness-exhaustive", True, f"n<={n_max}")
 
 
-def _first_nonzero(hosts: Iterable[Perm], cache: MobiusCache) -> Optional[Perm]:
+def _first_nonzero(hosts: Iterable[Perm], tables: LevelTables) -> Optional[Perm]:
     """The first host with mu(1, host) != 0, or None if every host is a zero."""
-    return next((h for h in hosts if principal_mobius(h, cache=cache) != 0), None)
+    return next((h for h in hosts if principal_mobius(h, cache=tables) != 0), None)
 
 
-def _suite_cor_sum(cache: MobiusCache) -> CheckResult:
+def _cor_sum_hosts() -> Iterator[Perm]:
     phis = (
         direct_sum(alpha, direct_sum(P1, beta))
         for la in range(1, 4)
@@ -370,51 +404,57 @@ def _suite_cor_sum(cache: MobiusCache) -> CheckResult:
         for alpha in itertools.permutations(range(1, la + 1))
         for beta in itertools.permutations(range(1, lb + 1))
     )
-    hosts = (
+    return (
         inflate_at(tau, [i], [phi])
         for phi in phis
         for tau in _perms_up_to(4)
         for i in range(1, len(tau) + 1)
     )
-    host = _first_nonzero(hosts, cache)
+
+
+def _suite_cor_sum(tables: LevelTables) -> CheckResult:
+    host = _first_nonzero(_cor_sum_hosts(), tables)
     if host is not None:
         return CheckResult("cor-sum-sampled", False, f"mu(1,{fmt(host)}) != 0")
     return CheckResult("cor-sum-sampled", True, "|alpha|+|beta|<=4, |tau|<=4")
 
 
-def _suite_pairs(cache: MobiusCache) -> CheckResult:
+def _suite_pairs(tables: LevelTables) -> CheckResult:
     hosts = (
         inflate_at(tau, [i, j], [phi, psi])
         for phi, psi in ANNIHILATOR_PAIRS[1:]  # the four beyond (12, 21)
         for tau in _perms_up_to(3)
         for i, j in itertools.permutations(range(1, len(tau) + 1), 2)
     )
-    host = _first_nonzero(hosts, cache)
+    host = _first_nonzero(hosts, tables)
     if host is not None:
         return CheckResult("pair-theorems-sampled", False, f"mu(1,{fmt(host)}) != 0")
     return CheckResult("pair-theorems-sampled", True, "4 pairs, |tau|<=3")
 
 
-def _suite_base_annihilators(cache: MobiusCache) -> CheckResult:
-    hosts = (
+def _base_annihilator_hosts() -> Iterator[Perm]:
+    return (
         inflate_at(tau, [i], [base])
         for base in BASE_ANNIHILATORS
         for tau in _perms_up_to(3)
         for i in range(1, len(tau) + 1)
     )
-    host = _first_nonzero(hosts, cache)
+
+
+def _suite_base_annihilators(tables: LevelTables) -> CheckResult:
+    host = _first_nonzero(_base_annihilator_hosts(), tables)
     if host is not None:
         return CheckResult("base-annihilators-sampled", False, f"mu(1,{fmt(host)}) != 0")
     return CheckResult("base-annihilators-sampled", True, "3 bases, |tau|<=3")
 
 
-def _suite_non_annihilators(cache: MobiusCache) -> CheckResult:
-    if principal_mobius(parse("214635"), cache=cache) != 0:
+def _suite_non_annihilators(tables: LevelTables) -> CheckResult:
+    if principal_mobius(parse("214635"), cache=tables) != 0:
         return CheckResult("non-annihilator-separation", False, "mu(1,214635) != 0")
     host_base = parse("24153")
     for a_text in ("235614", "254613", "465213"):
         host = inflate_at(host_base, [2], [parse(a_text)])
-        if principal_mobius(host, cache=cache) == 0:
+        if principal_mobius(host, cache=tables) == 0:
             return CheckResult(
                 "non-annihilator-separation",
                 False,
@@ -442,13 +482,13 @@ def _suite_pro_form(seeds: int = 50) -> CheckResult:
     return CheckResult("pro-form-identity", True, f"{seeds} seeds per interval")
 
 
-def _suite_eq_cancel(n_max: int, cache: MobiusCache) -> CheckResult:
+def _suite_eq_cancel(n_max: int, tables: LevelTables) -> CheckResult:
     bound = min(n_max, 7)
     for pi in _perms_up_to(bound):
         ups, downs = adjacencies(pi)
         if not ups or not downs:
             continue
-        if not check_eq_cancel_thm1(pi, ups[0], downs[0], cache=cache):
+        if not check_eq_cancel_thm1(pi, ups[0], downs[0], tables):
             return CheckResult("eq-cancel-theorem1", False, f"failed at {fmt(pi)}")
     return CheckResult("eq-cancel-theorem1", True, f"n<={bound}")
 
@@ -511,10 +551,15 @@ SUITE_NAMES = (
 )
 
 
-def run_theorem_suites(
-    n_max: int = 6, suites: Optional[Sequence[str]] = None, cache: Optional[MobiusCache] = None
-) -> Report:
-    """Run the named verification suites (all by default) up to length n_max."""
+def run_theorem_suites(n_max: int = 6, suites: Optional[Sequence[str]] = None) -> Report:
+    """Run the named verification suites (all by default) up to length n_max.
+
+    One ``LevelTables(8)`` serves every suite as a full principal cache:
+    values up to length 8, which covers the exhaustive suites and the
+    cor-sum and base-annihilator hosts, are read off the tables, and longer
+    hosts are memoized in them.  The eq-cancel suite, which stops at
+    length 7, reads their closures.
+    """
     if n_max < 1:
         raise PermError(f"n_max must be at least 1, got {n_max}")
     if n_max > 8:
@@ -523,17 +568,17 @@ def run_theorem_suites(
     unknown = wanted - set(SUITE_NAMES)
     if unknown:
         raise PermError(f"unknown suites: {sorted(unknown)}")
-    if cache is None:
-        cache = MobiusCache()
+    # built by the first selected suite that reads it
+    tables = functools.cache(lambda: LevelTables(8))
     runners = {
-        "theorem1": lambda: _suite_theorem1(n_max, cache),
-        "soundness": lambda: _suite_soundness(n_max, cache),
-        "cor-sum": lambda: _suite_cor_sum(cache),
-        "pairs": lambda: _suite_pairs(cache),
-        "base-annihilators": lambda: _suite_base_annihilators(cache),
-        "non-annihilators": lambda: _suite_non_annihilators(cache),
+        "theorem1": lambda: _suite_theorem1(n_max, tables()),
+        "soundness": lambda: _suite_soundness(n_max, tables()),
+        "cor-sum": lambda: _suite_cor_sum(tables()),
+        "pairs": lambda: _suite_pairs(tables()),
+        "base-annihilators": lambda: _suite_base_annihilators(tables()),
+        "non-annihilators": lambda: _suite_non_annihilators(tables()),
         "pro-form": _suite_pro_form,
-        "eq-cancel": lambda: _suite_eq_cancel(n_max, cache),
+        "eq-cancel": lambda: _suite_eq_cancel(n_max, tables()),
         "planted-posets": _suite_planted_posets,
         "figure-cores": _suite_figure_cores,
         "poset-oracle": _suite_poset_oracle,

@@ -7,7 +7,9 @@ intervals by comparing each window's value set with a range, and Mobius
 values by the definitional recursion over exact (non-canonicalized) keys.
 ``recursive_principal_mobius`` keeps the library's earlier principal
 evaluator as a second, independent engine, and ``brute_sum_split`` the
-earlier sum-split search.  ``i_switch`` is the parity-reversing involution
+earlier sum-split search.  ``brute_eq_cancel`` checks the parity
+cancellation of Theorem 1's proof one interior element at a time.
+``i_switch`` is the parity-reversing involution
 on embeddings from the proof of Theorem 1.  ``poset_from_covers`` builds a
 FinitePosetView from a cover list by closing it transitively.
 """
@@ -103,6 +105,24 @@ def brute_mobius(sigma, pi, memo=None):
         val = -sum(brute_mobius(sigma, t, memo) for t in interval if t != pi)
     memo[key] = val
     return val
+
+
+def brute_eq_cancel(pi, i, j, memo=None):
+    """For every lam < pi with brute_mobius(1, lam) != 0, (-1)^|pi| plus
+    (-1)^|src| for each source src >= lam must be 0, where the sources are
+    pi without position i, without j and without both."""
+    sources = [
+        pattern_of(tuple(v for p, v in enumerate(pi, start=1) if p not in gone))
+        for gone in ((i,), (j,), (i, j))
+    ]
+    for lam in brute_down_set(pi) - {pi}:
+        if brute_mobius((1,), lam, memo) == 0:
+            continue
+        if (-1) ** len(pi) + sum(
+            (-1) ** len(src) for src in sources if brute_contains(lam, src)
+        ):
+            return False
+    return True
 
 
 def recursive_principal_mobius(pi, pruned=True, cache=None, cap=DOWN_SET_CAP):

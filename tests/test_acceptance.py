@@ -128,9 +128,9 @@ def test_criterion_6_rule_soundness(mu_table8):
     report(6, f"{issued} certificates issued for |pi| <= 8, none false; pruned == unpruned")
 
 
-def test_criterion_7_verify_suite(mu_table8):
+def test_criterion_7_verify_suite():
     start = time.monotonic()
-    rep = run_theorem_suites(n_max=7, cache=mu_table8)
+    rep = run_theorem_suites(n_max=7)
     elapsed = time.monotonic() - start
     assert rep.all_passed, rep.to_text()
     assert elapsed < 600

@@ -191,6 +191,35 @@ class TestLevelTables:
                 checked += 1
         assert checked == 5913
 
+    def test_suite_hosts_of_length_8(self):
+        # the cor-sum and base-annihilator suites read these from the top
+        # level of the LevelTables(8) that run_theorem_suites builds
+        from permobius.verify import _base_annihilator_hosts, _cor_sum_hosts
+
+        hosts = {
+            h
+            for h in itertools.chain(_cor_sum_hosts(), _base_annihilator_hosts())
+            if len(h) == 8
+        }
+        assert hosts
+        tables = LevelTables(8)
+        for host in hosts:
+            assert tables.mobius(host) == principal_mobius(host), host
+
+    def test_memo_beyond_n(self):
+        tables = LevelTables(5)
+        pi = (2, 4, 1, 3, 6, 5)
+        assert tables.get(pi) is None
+        assert (tables.memo.hits, tables.memo.misses) == (0, 1)
+        mu = principal_mobius(pi, cache=tables)  # misses again, then puts
+        assert mu == principal_mobius(pi)
+        assert len(tables.memo) == 1
+        assert tables.get(pi[::-1]) == mu
+        assert (tables.memo.hits, tables.memo.misses) == (1, 2)
+        tables.put((2, 4, 1, 3), 7)  # within the tables: not memoized
+        assert len(tables.memo) == 1
+        assert tables.get((2, 4, 1, 3)) == -3
+
     def test_rejects_longer_permutations(self):
         with pytest.raises(PermError):
             LevelTables(4).mobius((1, 2, 3, 4, 5))

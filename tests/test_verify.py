@@ -1,3 +1,5 @@
+import copy
+import itertools
 import json
 
 import pytest
@@ -6,9 +8,13 @@ from permobius import (
     CoreInvariantError,
     PermError,
     PreconditionError,
+    adjacencies,
     parse,
     run_theorem_suites,
+    verify,
 )
+from permobius.census import LevelTables
+from permobius.cli import EXIT_VERIFY, main
 from permobius.verify import (
     DIAMOND_214635,
     DIAMOND_214653,
@@ -26,7 +32,7 @@ from permobius.verify import (
     reconstruct_214635_diamond,
     reconstruct_214653_diamond,
 )
-from oracles import poset_from_covers
+from oracles import brute_eq_cancel, poset_from_covers
 
 
 class TestTippedCores:
@@ -148,6 +154,61 @@ class TestChecks:
         P = poset_from_covers([0, 1, 2], {(0, 1), (1, 2)})
         with pytest.raises(PreconditionError):
             check_fac_del(P, 0, 1)
+
+
+def _adjacency_pairs(n):
+    """(pi, i, j) for every pi of length n and every up-adjacency i and
+    down-adjacency j of it."""
+    for pi in itertools.permutations(range(1, n + 1)):
+        ups, downs = adjacencies(pi)
+        for i, j in itertools.product(ups, downs):
+            yield pi, i, j
+
+
+class TestEqCancel:
+    def test_tables_walk_and_oracle_agree(self):
+        tables = LevelTables(7)
+        memo = {}
+        checked = 0
+        for n in range(1, 7):
+            for pi, i, j in _adjacency_pairs(n):
+                want = brute_eq_cancel(pi, i, j, memo)
+                assert check_eq_cancel_thm1(pi, i, j, tables) == want, (pi, i, j)
+                assert check_eq_cancel_thm1(pi, i, j) == want, (pi, i, j)
+                checked += 1
+        assert checked == 328
+
+    def test_tables_and_walk_agree_at_length_7(self):
+        tables = LevelTables(8)
+        for pi in itertools.permutations(range(1, 8)):
+            ups, downs = adjacencies(pi)
+            if ups and downs:
+                got = check_eq_cancel_thm1(pi, ups[0], downs[0], tables)
+                assert got == check_eq_cancel_thm1(pi, ups[0], downs[0]), pi
+
+    def test_zeroed_source_closure_fails(self):
+        # the sources of 12354 at (1, 4) are 1243, 1234 and 123; without the
+        # closure of 1243 the bottom element 1 lies below the other two only,
+        # a pattern whose signed sum is -1
+        pi = parse("12354")
+        tables = LevelTables(6)
+        assert check_eq_cancel_thm1(pi, 1, 4, tables)
+        broken = copy.copy(tables)
+        broken.closures = {**tables.closures, parse("1243"): 0}
+        assert not check_eq_cancel_thm1(pi, 1, 4, broken)
+
+    def test_suite_reports_a_failed_cancellation(self, capsys, monkeypatch):
+        # 1243 is the first pi the suite checks; 132 is its source without
+        # the up-adjacency at 1
+        def broken_tables(n):
+            tables = LevelTables(n)
+            tables.closures[parse("132")] = 0
+            return tables
+
+        monkeypatch.setattr(verify, "LevelTables", broken_tables)
+        assert main(["verify", "--nmax", "4", "--suite", "eq-cancel"]) == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert out == "FAIL eq-cancel-theorem1 (failed at 1243)\nFAILED\n"
 
 
 class TestSuiteRunner:
