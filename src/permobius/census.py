@@ -17,7 +17,11 @@ popcount of the interval engine in ``mobius.py``, with global indices.
 
 The scan evaluates one representative per orbit of the 8 symmetries
 (weighted by orbit size) and partitions S_n into fixed lexicographic-rank
-chunks, so results are byte-identical for any worker count.
+chunks, so results are byte-identical for any worker count.  A chunk starts
+at its own rank, by unranking the prefix of its first block, and outside
+audit mode it visits only orbit candidates: permutations whose first entry
+is at most the first entry of each of their 8 images, read off pi[0],
+pi[-1] and the positions of 1 and n.  Only those reach ``symmetry_orbit``.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ import sys
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .permcore import (
     BudgetError,
@@ -50,8 +54,9 @@ ADJACENCY_SCAN_CAP = 13
 #: Default cap for the density sweep; longer runs need an explicit opt-in.
 DENSITY_DESK_CAP = 9
 
-#: Bytes the level-table closures may take before the build gives up with
-#: BudgetError; n = 10 needs 27 MiB, n = 11 would need gigabytes.
+#: Bytes the level tables (the closures, and the top level's keys and
+#: entries) may take before the build gives up with BudgetError; n = 10 needs
+#: 119 MiB, n = 11 would need gigabytes of closures alone.
 LEVEL_BUDGET_BYTES = 1 << 28
 
 #: Permutations per scan chunk, in lexicographic rank order.
@@ -186,7 +191,7 @@ class LevelTables:
     rank.  ``top`` maps each permutation of length n-1 to its value and the
     tuple of its children's closures.  ``classes[v]`` is the bitset of the
     numbered permutations of value v.  Raises BudgetError once the closures
-    pass ``LEVEL_BUDGET_BYTES``.
+    and the top level's keys and entries pass ``LEVEL_BUDGET_BYTES``.
 
     Through ``get``/``put`` the tables are a full principal cache: lengths
     up to n are read off the tables, longer permutations are memoized in
@@ -202,23 +207,25 @@ class LevelTables:
         self.classes: dict[int, int] = {}
         self.memo = MobiusCache()
         closures, classes = self.closures, self.classes
+        getsizeof = sys.getsizeof
         bit = size = 0
         for k in range(1, n):
             for tau in itertools.permutations(range(1, k + 1)):
                 kids = tuple([closures[c] for c in deletions(tau)])
                 mu = self._value(kids) if k > 1 else 1
                 if k == n - 1:
-                    self.top[tau] = (mu, kids)
-                    continue
-                closure = 0
-                for c in kids:
-                    closure |= c
-                if mu:
-                    classes[mu] = classes.get(mu, 0) | (1 << bit)
-                    closure |= 1 << bit
-                    bit += 1
-                closures[tau] = closure
-                size += sys.getsizeof(closure)
+                    entry = self.top[tau] = (mu, kids)
+                    size += getsizeof(tau) + getsizeof(entry) + getsizeof(kids)
+                else:
+                    closure = 0
+                    for c in kids:
+                        closure |= c
+                    if mu:
+                        classes[mu] = classes.get(mu, 0) | (1 << bit)
+                        closure |= 1 << bit
+                        bit += 1
+                    closures[tau] = closure
+                    size += getsizeof(closure)
                 if size > LEVEL_BUDGET_BYTES:
                     raise BudgetError(
                         f"level tables for n={n} exceed {LEVEL_BUDGET_BYTES} bytes"
@@ -282,9 +289,9 @@ def build_principal_table(n_max: int, cache: Optional[MobiusCache] = None) -> Mo
     return cache
 
 
-def _chunk_ranges(total: int, chunk_size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
+def _chunk_ranges(total: int) -> list[tuple[int, int]]:
     # fixed-size rank chunks, independent of worker count
-    return [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
+    return [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
 
 
 def _fingerprint() -> str:
@@ -301,20 +308,66 @@ def _worker_init(n: int, audit: bool, tables: Optional[LevelTables]) -> None:
     _WORKER_STATE.update(n=n, audit=audit, tables=tables)
 
 
+def _ranked_permutations(n: int, lo: int, hi: int) -> Iterator[Perm]:
+    """The permutations of 1..n of lexicographic ranks lo..hi-1, in order.
+
+    Ranks come in blocks of m! sharing a prefix of length n - m, where m! is
+    the least factorial >= CHUNK_SIZE (m at most n).  Each block's prefix is
+    unranked directly, so a range skips at most m! - 1 permutations inside
+    its first block, not all lo before it.
+    """
+    m = 1
+    while m < n and math.factorial(m) < CHUNK_SIZE:
+        m += 1
+    size = math.factorial(m)
+    block, offset = divmod(lo, size)
+    while lo < hi:
+        rest = list(range(1, n + 1))
+        prefix = []
+        b = block
+        for k in range(n - 1, m - 1, -1):
+            d, b = divmod(b, math.factorial(k) // size)
+            prefix.append(rest.pop(d))
+        head = tuple(prefix)
+        count = min(hi - lo, size - offset)
+        for tail in itertools.islice(
+            itertools.permutations(rest), offset, offset + count
+        ):
+            yield head + tail
+        lo += count
+        block += 1
+        offset = 0
+
+
 def _scan_chunk(bounds: tuple[int, int]) -> dict:
     n = _WORKER_STATE["n"]
     audit = _WORKER_STATE["audit"]
     tables = _WORKER_STATE["tables"]
     lo, hi = bounds
+    if not audit:
+        # pi = min(orbit) needs pi[0] at most the first entry of every image,
+        # among them the complement's n + 1 - pi[0]; the permutations with
+        # pi[0] <= (n+1)//2 are the ranks below (n+1)//2 * (n-1)!, and the
+        # ranks past that are never generated
+        hi = min(hi, (n + 1) // 2 * math.factorial(n - 1))
     zeros = certified = simple = simple_nonzero = 0
     audit_lines: list[str] = []
-    perms = itertools.islice(itertools.permutations(range(1, n + 1)), lo, hi)
-    for pi in perms:
+    for pi in _ranked_permutations(n, lo, hi):
         if audit:
             mu = principal_mobius(pi, cache=tables)
             audit_lines.append(f"{fmt(pi)}\t{mu}")
             weight = 1
         else:
+            # the other first entries: pi[-1], n + 1 - pi[-1] and the
+            # positions of 1 and n, counted from either end
+            first = pi[0]
+            top = n + 1 - first
+            if not (
+                first <= pi[-1] <= top
+                and first <= pi.index(1) + 1 <= top
+                and first <= pi.index(n) + 1 <= top
+            ):
+                continue
             orbit = symmetry_orbit(pi)
             if pi != min(orbit):
                 continue
@@ -393,11 +446,13 @@ def zero_density(
 
     The level tables for n are built once in this process and handed to the
     workers through the pool initializer; each value of length n then costs
-    one lookup per single deletion and a popcount per value class.
-    Symmetry-class reduction is used unless an audit file (one line per
-    permutation) is requested.  ``long_run`` must be set for n above the
-    desk cap.  Raises BudgetError when the level tables would pass
-    ``LEVEL_BUDGET_BYTES``.
+    one lookup per single deletion and a popcount per value class.  Each
+    chunk of ranks starts at its own rank, not by skipping the ones before
+    it.  Unless an audit file (one line per permutation) is requested, the
+    scan visits only orbit candidates and evaluates the least member of
+    each symmetry orbit, weighted by the orbit's size.  ``long_run`` must
+    be set for n above the desk cap.  Raises BudgetError when the level
+    tables would pass ``LEVEL_BUDGET_BYTES``.
     """
     if n < 1:
         raise PermError("n must be positive")

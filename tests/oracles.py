@@ -12,11 +12,20 @@ cancellation of Theorem 1's proof one interior element at a time.
 ``i_switch`` is the parity-reversing involution
 on embeddings from the proof of Theorem 1.  ``poset_from_covers`` builds a
 FinitePosetView from a cover list by closing it transitively.
+``brute_scan_chunk`` recounts a census chunk over every permutation of its
+rank range.
 """
 import itertools
 
-from permobius.mobius import FinitePosetView, MobiusCache
-from permobius.permcore import DOWN_SET_CAP, Embedding, PermError, down_set, pattern_of
+from permobius.mobius import FinitePosetView, MobiusCache, principal_mobius
+from permobius.permcore import (
+    DOWN_SET_CAP,
+    SYMMETRY_LABELS,
+    Embedding,
+    PermError,
+    down_set,
+    pattern_of,
+)
 from permobius.zerorules import certify_zero
 
 
@@ -194,3 +203,26 @@ def i_switch(e, i):
     else:
         image = tuple(sorted(e.image + (i,)))
     return Embedding(e.target, image)
+
+
+def brute_scan_chunk(n, lo, hi):
+    """The counts of a census chunk: every permutation of lexicographic ranks
+    lo..hi-1 by skipping the ones before, its orbit from brute_symmetry,
+    the orbit's least member weighted by the orbit's size, mu by
+    principal_mobius with no cache and simplicity from brute_intervals."""
+    counts = dict.fromkeys(("zeros", "certified", "simple", "simple_nonzero"), 0)
+    for pi in itertools.islice(itertools.permutations(range(1, n + 1)), lo, hi):
+        orbit = {brute_symmetry(g, pi) for g in SYMMETRY_LABELS}
+        if pi != min(orbit):
+            continue
+        weight = len(orbit)
+        mu = principal_mobius(pi)
+        if mu == 0:
+            counts["zeros"] += weight
+            if certify_zero(pi) is not None:
+                counts["certified"] += weight
+        if all(e - s in (0, n - 1) for s, e, _ in brute_intervals(pi)):
+            counts["simple"] += weight
+            if mu != 0:
+                counts["simple_nonzero"] += weight
+    return counts

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -25,6 +26,7 @@ from permobius.census import (
     build_principal_table,
     no_up_adjacency_recurrence,
 )
+from oracles import brute_scan_chunk
 
 # Densities independently pinned by exhaustive evaluation with the
 # definitional oracle at small n (see test_mobius.py for oracle agreement).
@@ -157,6 +159,21 @@ class TestZeroDensity:
         with pytest.raises(BudgetError):
             zero_density(6)
 
+    @pytest.mark.parametrize("chunk_size", [4096, 37])
+    def test_checkpoint_resumes_from_half(self, tmp_path, monkeypatch, chunk_size):
+        # a finished run's checkpoint cut to its first half of chunks, as an
+        # interrupted run leaves it, completes to the same row and chunks
+        monkeypatch.setattr(census, "CHUNK_SIZE", chunk_size)
+        ck = tmp_path / "ck.json"
+        full = emit_table([zero_density(7, checkpoint=str(ck))], format="csv")
+        data = json.loads(ck.read_text())
+        assert len(data["chunks"]) == -(-5040 // chunk_size)
+        half = dict(data, chunks=data["chunks"][: len(data["chunks"]) // 2])
+        ck.write_text(json.dumps(half))
+        resumed = emit_table([zero_density(7, checkpoint=str(ck))], format="csv")
+        assert resumed == full == emit_table([zero_density(7)], format="csv")
+        assert json.loads(ck.read_text()) == data
+
     def test_audit_lines_match_principal_mobius(self, tmp_path):
         path = tmp_path / "audit.tsv"
         with path.open("w") as fh:
@@ -227,6 +244,60 @@ class TestLevelTables:
     def test_rejects_empty_permutation(self):
         with pytest.raises(PermError):
             LevelTables(5).mobius(())
+
+    def test_budget_counts_the_top_level(self, monkeypatch):
+        # the top level's keys and entries count against the budget, not
+        # only the closures: a budget the closures fit but the tables do not
+        tables = LevelTables(7)
+        closures = sum(sys.getsizeof(c) for tau, c in tables.closures.items() if tau)
+        full = closures + sum(
+            sys.getsizeof(tau) + sys.getsizeof(entry) + sys.getsizeof(entry[1])
+            for tau, entry in tables.top.items()
+        )
+        assert closures < full // 2
+        monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", full)
+        LevelTables(7)
+        monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", (closures + full) // 2)
+        with pytest.raises(BudgetError):
+            LevelTables(7)
+
+
+class TestChunkScan:
+    @pytest.mark.parametrize("chunk_size", [4096, 37, 1])
+    def test_ranked_permutations_match_islice(self, monkeypatch, chunk_size):
+        # chunks of odd sizes that start and end inside blocks and cross them
+        monkeypatch.setattr(census, "CHUNK_SIZE", chunk_size)
+        for n in range(1, 8):
+            perms = list(itertools.permutations(range(1, n + 1)))
+            for lo, hi in census._chunk_ranges(len(perms)):
+                assert list(census._ranked_permutations(n, lo, hi)) == perms[lo:hi]
+
+    def test_ranked_permutations_n10(self):
+        # blocks of 7! under a prefix of length 3; chunk 1 crosses a block
+        chunks = census._chunk_ranges(math.factorial(10))
+        for lo, hi in (chunks[0], chunks[1], chunks[-1]):
+            expected = itertools.islice(itertools.permutations(range(1, 11)), lo, hi)
+            assert list(census._ranked_permutations(10, lo, hi)) == list(expected)
+
+    @pytest.mark.parametrize("chunk_size", [4096, 37])
+    def test_scan_chunk_matches_brute_oracle(self, monkeypatch, chunk_size):
+        monkeypatch.setattr(census, "CHUNK_SIZE", chunk_size)
+        for n in range(1, 8):
+            census._worker_init(n, False, LevelTables(n))
+            for lo, hi in census._chunk_ranges(math.factorial(n)):
+                expected = brute_scan_chunk(n, lo, hi)
+                res = census._scan_chunk((lo, hi))
+                assert {k: res[k] for k in expected} == expected, (n, lo, hi)
+
+    def test_orbit_weights_sum_to_factorial(self, monkeypatch):
+        # with every value 0, the zeros of a scan are its orbit weights
+        monkeypatch.setattr(census, "principal_mobius", lambda pi, cache: 0)
+        monkeypatch.setattr(census, "certify_zero", lambda pi: None)
+        for n in range(1, 9):
+            census._worker_init(n, False, None)
+            chunks = census._chunk_ranges(math.factorial(n))
+            weights = sum(census._scan_chunk(c)["zeros"] for c in chunks)
+            assert weights == math.factorial(n), n
 
 
 class TestSweep:
