@@ -12,8 +12,10 @@ permutation pi of length n has
     mu(1, pi) = -sum of mu(tau) over its distinct single deletions tau
                 - sum_v v * |D & classes[v]|,
 
-where D is the OR of the closures of pi's double deletions: the value-class
-popcount of the interval engine in ``mobius.py``, with global indices.
+where D is the OR of the closures of pi's double deletions.  This is the
+layout and the value-class popcount (``mobius._value``) of the interval
+walk in ``mobius.py``, numbered over all shorter permutations instead of
+one interval.
 
 The scan evaluates one representative per orbit of the 8 symmetries
 (weighted by orbit size) and partitions S_n into fixed lexicographic-rank
@@ -45,7 +47,7 @@ from .permcore import (
     is_simple,
     symmetry_orbit,
 )
-from .mobius import MobiusCache, principal_mobius
+from .mobius import MobiusCache, _value, principal_mobius
 from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, certify_zero
 
 #: Direct S_n scans are refused above this length.
@@ -54,9 +56,9 @@ ADJACENCY_SCAN_CAP = 13
 #: Default cap for the density sweep; longer runs need an explicit opt-in.
 DENSITY_DESK_CAP = 9
 
-#: Bytes the level tables (the closures, and the top level's keys and
-#: entries) may take before the build gives up with BudgetError; n = 10 needs
-#: 119 MiB, n = 11 would need gigabytes of closures alone.
+#: Bytes the level tables (both levels' keys and entries, and the two dicts)
+#: may take before the build gives up with BudgetError; n = 10 needs
+#: 146 MiB, n = 11 would need gigabytes of closures alone.
 LEVEL_BUDGET_BYTES = 1 << 28
 
 #: Permutations per scan chunk, in lexicographic rank order.
@@ -190,8 +192,8 @@ class LevelTables:
     below it; those are numbered in ascending length, then lexicographic
     rank.  ``top`` maps each permutation of length n-1 to its value and the
     tuple of its children's closures.  ``classes[v]`` is the bitset of the
-    numbered permutations of value v.  Raises BudgetError once the closures
-    and the top level's keys and entries pass ``LEVEL_BUDGET_BYTES``.
+    numbered permutations of value v.  Raises BudgetError once both levels'
+    keys and entries and the two dicts pass ``LEVEL_BUDGET_BYTES``.
 
     Through ``get``/``put`` the tables are a full principal cache: lengths
     up to n are read off the tables, longer permutations are memoized in
@@ -206,7 +208,7 @@ class LevelTables:
         self.top: dict[Perm, tuple[int, tuple[int, ...]]] = {}
         self.classes: dict[int, int] = {}
         self.memo = MobiusCache()
-        closures, classes = self.closures, self.classes
+        closures, top, classes = self.closures, self.top, self.classes
         getsizeof = sys.getsizeof
         bit = size = 0
         for k in range(1, n):
@@ -214,7 +216,7 @@ class LevelTables:
                 kids = tuple([closures[c] for c in deletions(tau)])
                 mu = self._value(kids) if k > 1 else 1
                 if k == n - 1:
-                    entry = self.top[tau] = (mu, kids)
+                    entry = top[tau] = (mu, kids)
                     size += getsizeof(tau) + getsizeof(entry) + getsizeof(kids)
                 else:
                     closure = 0
@@ -225,8 +227,8 @@ class LevelTables:
                         closure |= 1 << bit
                         bit += 1
                     closures[tau] = closure
-                    size += getsizeof(closure)
-                if size > LEVEL_BUDGET_BYTES:
+                    size += getsizeof(tau) + getsizeof(closure)
+                if size + getsizeof(closures) + getsizeof(top) > LEVEL_BUDGET_BYTES:
                     raise BudgetError(
                         f"level tables for n={n} exceed {LEVEL_BUDGET_BYTES} bytes"
                     )
@@ -237,9 +239,7 @@ class LevelTables:
         below = 0
         for c in kids:
             below |= c
-        return -singles - sum(
-            v * (below & m).bit_count() for v, m in self.classes.items()
-        )
+        return _value(below, self.classes) - singles
 
     def get(self, pi: Perm) -> Optional[int]:
         """The read side of the MobiusCache protocol, so ``principal_mobius``

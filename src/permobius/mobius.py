@@ -1,15 +1,18 @@
 """Exact Mobius-function evaluation on permutation intervals and finite posets.
 
 The permutation evaluator builds the interval [sigma, pi] once, top-down by
-single-point deletion, one level per length, and fills values bottom-up:
-each element's strict down-set in the interval is a Python-int bitset, and
-mu(sigma, tau) is a popcount against the bitsets of the elements holding
-each nonzero value.  ``interval_mobius`` returns every value of that pass.
-An optional cache memoizes principal values mu(1, pi) only, keyed by the
-symmetry-canonical form of pi, which is sound because the principal Mobius
-function is symmetry-invariant; values with another lower bound are not
-cached.  Interior zeros are computed like every other value; the earlier
-recursion that skipped rule-certified zeros survives as a test oracle.
+single-point deletion, one level per length, and fills values bottom-up in
+one walk.  Only the nonzero-valued elements are numbered; each element's
+closure is the Python-int bitset of the numbered elements at or below it,
+and mu(sigma, tau) is a popcount of the OR of its children's closures
+against the bitsets of the elements holding each nonzero value (``_value``,
+which the census level tables share).  ``interval_mobius`` returns every
+value of that walk.  An optional cache memoizes principal values
+mu(1, pi) only, keyed by the symmetry-canonical form of pi, which is sound
+because the principal Mobius function is symmetry-invariant; values with
+another lower bound are not cached.  Interior zeros are computed like every
+other value; the earlier recursion that skipped rule-certified zeros
+survives as a test oracle.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .permcore import (
     canonical_symmetry_form,
     contains,
     deletion_levels,
+    deletions,
 )
 
 # Unused here, but bench/tracing.py patches these names on this module to
@@ -60,17 +64,24 @@ class MobiusCache:
         return len(self._data)
 
 
-def _interval(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
-    """Walk the interval [sigma, pi] bottom-up, lengths ascending.
+def _value(below: int, classes: Mapping[int, int]) -> int:
+    """-sum_v v * |below & classes[v]|: mu(sigma, tau) when ``below`` is the
+    bitset of the nonzero-valued elements strictly below tau and
+    ``classes[v]`` the bitset of those of value v."""
+    return -sum(v * (below & m).bit_count() for v, m in classes.items())
 
-    Yields ``(tau, below)`` for each element tau, where ``below`` is the
-    bitset of the elements strictly below tau in the interval: bit k stands
-    for the k-th element yielded.  Yields nothing unless sigma <= pi.
 
-    The deletion closure of pi down to length |sigma| comes from
-    ``deletion_levels``; values then flow bottom-up with only two adjacent
-    levels of bitsets alive.  Raises BudgetError once the closure passes
-    ``cap`` elements.
+def _walk(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int, int]]:
+    """Yield ``(tau, closure, mu(sigma, tau))`` for each tau of [sigma, pi],
+    bottom-up, lengths ascending; nothing unless sigma <= pi.
+
+    Only the nonzero-valued elements are numbered, in walk order, and
+    ``closure`` is the bitset of those at or below tau.  The deletion
+    closure of pi down to length |sigma| comes from ``deletion_levels``;
+    closures then flow bottom-up with only two adjacent levels alive.  Since
+    sigma has value 1, tau lies in the interval exactly when the OR of its
+    children's closures is nonzero.  Raises BudgetError once the deletion
+    closure passes ``cap`` elements.
     """
     levels, edges = deletion_levels(pi, len(sigma), cap)
     bottom = levels.pop()
@@ -78,11 +89,11 @@ def _interval(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
         start = bottom.index(sigma)
     except ValueError:
         return
-    # closed[k]: bitset of element k of the level below and everything under
-    # it in the interval; 0 for elements outside the interval
+    # closed[k]: closure of element k of the level below, 0 outside the interval
     closed = [0] * len(bottom)
     closed[start] = 1
-    yield sigma, 0
+    classes = {1: 1}
+    yield sigma, 1, 1
     bit = 1
     while levels:
         level, rows = levels.pop(), edges.pop()
@@ -91,43 +102,27 @@ def _interval(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int]]:
             below = 0
             for k in row:
                 below |= closed[k]
-            if below:  # tau >= sigma iff some child is in the interval
-                yield tau, below
-                below |= 1 << bit
-                bit += 1
+            if below:
+                value = _value(below, classes)
+                if value:
+                    classes[value] = classes.get(value, 0) | (1 << bit)
+                    below |= 1 << bit
+                    bit += 1
+                yield tau, below, value
             above.append(below)
         closed = above
-
-
-def _walk_mobius(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int, int]]:
-    """Yield ``(tau, below, mu(sigma, tau))`` for each tau of [sigma, pi] in
-    the order and with the strict down-set bitsets of ``_interval``, by one
-    bottom-up pass.
-
-    ``classes[v]`` is the bitset of the elements with value v != 0, so
-    mu(sigma, tau) = -sum_v v * |below(tau) & classes[v]|.
-    """
-    classes: dict[int, int] = {}
-    for bit, (tau, below) in enumerate(_interval(sigma, pi, cap)):
-        if below:
-            value = -sum(v * (below & m).bit_count() for v, m in classes.items())
-        else:
-            value = 1
-        if value:
-            classes[value] = classes.get(value, 0) | (1 << bit)
-        yield tau, below, value
 
 
 def interval_mobius(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> dict[Perm, int]:
     """mu(sigma, tau) for every tau in [sigma, pi], in walk order (lengths
     ascending); empty if sigma !<= pi.  An empty sigma stands for 1: the
     empty permutation itself is left out."""
-    return {tau: value for tau, _below, value in _walk_mobius(sigma or P1, pi, cap)}
+    return {tau: value for tau, _closure, value in _walk(sigma or P1, pi, cap)}
 
 
 def _interval_mobius(sigma: Perm, pi: Perm, cap: int) -> int:
     """mu(sigma, pi) for sigma <= pi: the last value of the walk."""
-    for _tau, _below, value in _walk_mobius(sigma, pi, cap):
+    for _tau, _closure, value in _walk(sigma, pi, cap):
         pass
     return value
 
@@ -234,9 +229,11 @@ def mobius_poset(P: FinitePosetView, x: Hashable, y: Hashable) -> int:
 def interval_as_poset(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> FinitePosetView:
     """The interval [sigma, pi] of the pattern poset as a FinitePosetView,
     listed in the order of the bottom-up walk (lengths ascending)."""
-    members: list[Perm] = []
     below: dict[Perm, set[Perm]] = {}
-    for tau, bits in _interval(sigma, pi, cap):
-        below[tau] = {members[k] for k, b in enumerate(reversed(bin(bits))) if b == "1"}
-        members.append(tau)
+    for tau, _closure, _mu in _walk(sigma, pi, cap):
+        down = below[tau] = set()
+        for child in deletions(tau):
+            if child in below:
+                down.add(child)
+                down |= below[child]
     return FinitePosetView(below)

@@ -20,7 +20,6 @@ from .permcore import (
     adjacencies,
     deletions,
     direct_sum,
-    down_set,
     fmt,
     has_opposing_adjacencies,
     inflate_at,
@@ -31,7 +30,7 @@ from .census import LevelTables
 from .mobius import (
     FinitePosetView,
     P1,
-    _walk_mobius,
+    _walk,
     interval_as_poset,
     interval_mobius,
     mobius,
@@ -49,7 +48,7 @@ from .zerorules import (
 
 # Unused here, but bench/tracing.py patches these names on this module to
 # count their calls; they stay importable until the benchmark drops them.
-from .permcore import apply_symmetry, contains  # noqa: F401
+from .permcore import apply_symmetry, contains, down_set  # noqa: F401
 
 
 class CoreInvariantError(PermError):
@@ -143,19 +142,6 @@ def check_pro_form(
     return mu[pi] == rhs
 
 
-def _walk_closures(pi: Perm) -> dict[Perm, int]:
-    """The closure of every tau in [1, pi], the bitset of the nonzero-valued
-    elements at or below tau, from one bottom-up walk: the layout of
-    ``LevelTables.closures``, with bit k for the k-th element walked."""
-    closures: dict[Perm, int] = {}
-    nonzero = 0
-    for bit, (tau, below, value) in enumerate(_walk_mobius(P1, pi, DOWN_SET_CAP)):
-        if value:
-            nonzero |= 1 << bit
-        closures[tau] = (below | 1 << bit) & nonzero
-    return closures
-
-
 def check_eq_cancel_thm1(
     pi: Perm, i: int, j: int, tables: Optional[LevelTables] = None
 ) -> bool:
@@ -181,7 +167,7 @@ def check_eq_cancel_thm1(
     if tables is not None and len(pi) < tables.n:
         closures = tables.closures
     else:
-        closures = _walk_closures(pi)
+        closures = {tau: c for tau, c, _mu in _walk(P1, pi, DOWN_SET_CAP)}
     below = 0
     for c in deletions(pi):
         below |= closures[c]
@@ -524,9 +510,11 @@ def _suite_figure_cores() -> CheckResult:
 
 def _suite_poset_oracle(n_max: int = 5) -> CheckResult:
     for pi in _perms_up_to(n_max):
-        for sigma in down_set(pi):
+        # every [sigma, pi] is an interval of the one poset [1, pi]
+        P = interval_as_poset(P1, pi)
+        for sigma in P.elements:
             got = mobius(sigma, pi)
-            want = mobius_poset(interval_as_poset(sigma, pi), sigma, pi)
+            want = mobius_poset(P, sigma, pi)
             if got != want:
                 return CheckResult(
                     "generic-poset-oracle",

@@ -141,7 +141,7 @@ def test_criterion_7_verify_suite():
     os.environ.get("PERMOBIUS_STRETCH") != "1",
     reason=(
         "stretch criterion; set PERMOBIUS_STRETCH=1 to run "
-        "(about 22 s and 990 MiB peak RSS on a 2-core x86-64 machine)"
+        "(about 7 s and 80 MiB peak RSS on a 2-core x86-64 machine)"
     ),
 )
 def test_criterion_8_length_22_stretch():

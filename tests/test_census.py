@@ -1,8 +1,10 @@
+import gc
 import itertools
 import json
 import math
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -249,8 +251,10 @@ class TestLevelTables:
         # the top level's keys and entries count against the budget, not
         # only the closures: a budget the closures fit but the tables do not
         tables = LevelTables(7)
-        closures = sum(sys.getsizeof(c) for tau, c in tables.closures.items() if tau)
-        full = closures + sum(
+        closures = sys.getsizeof(tables.closures) + sum(
+            sys.getsizeof(tau) + sys.getsizeof(c) for tau, c in tables.closures.items() if tau
+        )
+        full = closures + sys.getsizeof(tables.top) + sum(
             sys.getsizeof(tau) + sys.getsizeof(entry) + sys.getsizeof(entry[1])
             for tau, entry in tables.top.items()
         )
@@ -260,6 +264,22 @@ class TestLevelTables:
         monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", (closures + full) // 2)
         with pytest.raises(BudgetError):
             LevelTables(7)
+
+    def test_budget_trips_below_the_traced_size(self, monkeypatch):
+        # the budget counts the keys and the dicts too: it must not let the
+        # tables grow 5% past their budget.  A full collection first empties
+        # the free lists, whose reuse tracemalloc does not see.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tables = LevelTables(8)
+            traced, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del tables
+        monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", int(0.95 * traced))
+        with pytest.raises(BudgetError):
+            LevelTables(8)
 
 
 class TestChunkScan:

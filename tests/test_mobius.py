@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,13 +13,18 @@ from permobius import (
     SYMMETRY_LABELS,
     inflate_at,
     interval_as_poset,
+    interval_mobius,
     mobius,
     mobius_poset,
     parse,
+    pattern_of,
     principal_mobius,
 )
-from permobius.permcore import Embedding
+from permobius.census import LevelTables
+from permobius.mobius import _walk
+from permobius.permcore import DOWN_SET_CAP, Embedding
 from oracles import (
+    brute_contains,
     brute_down_set,
     brute_mobius,
     i_switch,
@@ -27,6 +33,9 @@ from oracles import (
 )
 
 perms_of = lambda n: itertools.permutations(range(1, n + 1))
+
+#: The length-22 permutation of the stretch criterion, mu(1, PI_22) = 1.
+PI_22 = parse("9 17 19 21 18 20 2 12 11 14 16 13 15 5 4 7 6 8 1 22 3 10")
 
 
 SPOT_VALUES = {
@@ -123,6 +132,19 @@ class TestPrincipal:
     def test_budget(self):
         with pytest.raises(BudgetError):
             principal_mobius(parse("2413"), cap=2)
+
+    def test_wide_interval_memory(self):
+        # [1, pi] has 13,078 elements, 291 of them nonzero:
+        # the walk's bitsets number only the nonzero ones, so the traced
+        # peak stays small
+        pi = pattern_of(PI_22[:18])
+        tracemalloc.start()
+        try:
+            principal_mobius(pi)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
 
 
 class TestGeneralMobius:
@@ -256,15 +278,37 @@ class TestPosetView:
             assert mobius_poset(P, (1,), pi) == principal_mobius(pi)
 
     def test_interval_as_poset_down_sets(self):
-        # every decoded down-set of [1, pi] against the subsequence oracle
+        # members, decoded down-sets and values of [sigma, pi] against the
+        # subsequence oracle: every sigma <= pi with |pi| <= 5, and sigma = 1
+        # at |pi| = 6
         patterns = {}
         for n in range(1, 7):
             for pi in perms_of(n):
-                P = interval_as_poset((1,), pi)
-                for tau in P.elements:
-                    if tau not in patterns:
-                        patterns[tau] = brute_down_set(tau) - {tau}
-                    assert P.strictly_below(tau) == patterns[tau], (pi, tau)
+                below = brute_down_set(pi)
+                for sigma in below if n <= 5 else [(1,)]:
+                    P = interval_as_poset(sigma, pi)
+                    members = {t for t in below if brute_contains(sigma, t)}
+                    assert set(P.elements) == members, (sigma, pi)
+                    for tau in P.elements:
+                        if tau not in patterns:
+                            patterns[tau] = brute_down_set(tau) - {tau}
+                        assert P.strictly_below(tau) == patterns[tau] & members, (sigma, pi, tau)
+                    values = interval_mobius(sigma, pi)
+                    assert list(values) == list(P.elements)
+                    for tau, value in values.items():
+                        assert value == mobius_poset(P, sigma, tau), (sigma, tau)
+
+    def test_walk_closures_match_level_tables(self):
+        # closures number the nonzero elements per interval in the walk and
+        # over all shorter permutations in the tables, so only their
+        # popcounts compare: both count the nonzero tau' <= tau.
+        # LevelTables(8) keeps the closures of every length up to 6.
+        tables8 = LevelTables(8)
+        for n in range(1, 7):
+            for pi in perms_of(n):
+                for tau, closure, value in _walk((1,), pi, DOWN_SET_CAP):
+                    assert closure.bit_count() == tables8.closures[tau].bit_count(), (pi, tau)
+                    assert value == tables8.mobius(tau), (pi, tau)
 
 
 class TestLongHosts:
