@@ -193,7 +193,8 @@ class LevelTables:
     rank.  ``top`` maps each permutation of length n-1 to its value and the
     tuple of its children's closures.  ``classes[v]`` is the bitset of the
     numbered permutations of value v.  Raises BudgetError once both levels'
-    keys and entries and the two dicts pass ``LEVEL_BUDGET_BYTES``.
+    keys and entries and the two dicts pass ``LEVEL_BUDGET_BYTES``; a
+    dict's growth within a level is counted when the level ends.
 
     Through ``get``/``put`` the tables are a full principal cache: lengths
     up to n are read off the tables, longer permutations are memoized in
@@ -212,6 +213,9 @@ class LevelTables:
         getsizeof = sys.getsizeof
         bit = size = 0
         for k in range(1, n):
+            # a dict's own size changes only when it resizes: count the two
+            # as they were when the level began, and exactly once it is done
+            dicts = getsizeof(closures) + getsizeof(top)
             for tau in itertools.permutations(range(1, k + 1)):
                 kids = tuple([closures[c] for c in deletions(tau)])
                 mu = self._value(kids) if k > 1 else 1
@@ -228,10 +232,12 @@ class LevelTables:
                         bit += 1
                     closures[tau] = closure
                     size += getsizeof(tau) + getsizeof(closure)
-                if size + getsizeof(closures) + getsizeof(top) > LEVEL_BUDGET_BYTES:
-                    raise BudgetError(
-                        f"level tables for n={n} exceed {LEVEL_BUDGET_BYTES} bytes"
-                    )
+                if size + dicts > LEVEL_BUDGET_BYTES:
+                    break
+            if size + getsizeof(closures) + getsizeof(top) > LEVEL_BUDGET_BYTES:
+                raise BudgetError(
+                    f"level tables for n={n} exceed {LEVEL_BUDGET_BYTES} bytes"
+                )
 
     def _value(self, kids: Sequence[int], singles: int = 0) -> int:
         # mu(1, .) of a permutation whose numbered strict down-set is the OR

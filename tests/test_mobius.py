@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import tracemalloc
@@ -22,7 +23,7 @@ from permobius import (
 )
 from permobius.census import LevelTables
 from permobius.mobius import _walk
-from permobius.permcore import DOWN_SET_CAP, Embedding
+from permobius.permcore import DOWN_SET_CAP, Embedding, down_set
 from oracles import (
     brute_contains,
     brute_down_set,
@@ -134,17 +135,25 @@ class TestPrincipal:
             principal_mobius(parse("2413"), cap=2)
 
     def test_wide_interval_memory(self):
-        # [1, pi] has 13,078 elements, 291 of them nonzero:
-        # the walk's bitsets number only the nonzero ones, so the traced
-        # peak stays small
-        pi = pattern_of(PI_22[:18])
-        tracemalloc.start()
-        try:
-            principal_mobius(pi)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 << 20
+        # the walk's bitsets number only the nonzero elements (291 of the
+        # 13,078 in [1, pi] at 18 entries), so the traced peak grows about
+        # as the interval does; bitsets as wide as the interval grow it
+        # about as its square.  On CPython 3.11.7, 14 entries (2,255
+        # elements) and 18 entries peaked at 0.51 and 3.4 MiB, 6.7 times
+        # for 5.8 times the elements; full-width bitsets gave 0.66 and
+        # 7.5 MiB, 11.4 times.
+        def traced_peak(pi):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                principal_mobius(pi)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, wide = (pattern_of(PI_22[:k]) for k in (14, 18))
+        growth = len(down_set(wide)) / len(down_set(small))
+        assert traced_peak(wide) / traced_peak(small) < 1.5 * growth
 
 
 class TestGeneralMobius:
