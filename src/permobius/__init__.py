@@ -57,7 +57,6 @@ from .zerorules import (
 from .census import (
     CensusRow,
     adjacency_counts,
-    count_adjacency_classes,
     density_bound_report,
     emit_table,
     render_density,

@@ -50,10 +50,8 @@ from .permcore import (
 from .mobius import MobiusCache, _value, principal_mobius
 from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, certify_zero
 
-#: Direct S_n scans are refused above this length.
-ADJACENCY_SCAN_CAP = 13
-
 #: Default cap for the density sweep; longer runs need an explicit opt-in.
+#: Adjacency counts up to it are also checked against a direct S_n scan.
 DENSITY_DESK_CAP = 9
 
 #: Bytes the level tables (both levels' keys and entries, and the two dicts)
@@ -155,29 +153,24 @@ def _adjacency_scan(n: int) -> tuple[int, int, int]:
     return a, b, s
 
 
-def count_adjacency_classes(n: int) -> tuple[int, int, int]:
-    """(a_n, b_n, s_n) by direct scan of S_n, cross-checked against recurrences."""
-    if not 1 <= n <= ADJACENCY_SCAN_CAP:
-        raise PermError(f"adjacency scan supports 1 <= n <= {ADJACENCY_SCAN_CAP}")
-    a, b, s = _adjacency_scan(n)
-    ar = no_up_adjacency_recurrence(n)[n]
-    br = adjacency_free_recurrence(n)[n]
-    if (a, b) != (ar, br):
-        raise AssertionError(
-            f"scan/recurrence disagreement at n={n}: scan=({a},{b}) rec=({ar},{br})"
-        )
-    if s != math.factorial(n) - 2 * a + b:
-        raise AssertionError(f"s_n identity violated at n={n}")
-    return a, b, s
-
-
 def adjacency_counts(n: int) -> tuple[int, int, int]:
-    """(a_n, b_n, s_n); scanned up to the cap, recurrence-only beyond it."""
-    if n <= DENSITY_DESK_CAP:
-        return count_adjacency_classes(n)
+    """(a_n, b_n, s_n) from the recurrences; for n up to the desk cap a
+    direct scan of S_n must agree with them."""
+    if n < 1:
+        raise PermError(f"adjacency counts need n >= 1, got {n}")
     a = no_up_adjacency_recurrence(n)[n]
     b = adjacency_free_recurrence(n)[n]
-    return a, b, math.factorial(n) - 2 * a + b
+    s = math.factorial(n) - 2 * a + b
+    if n <= DENSITY_DESK_CAP:
+        scan_a, scan_b, scan_s = _adjacency_scan(n)
+        if (scan_a, scan_b) != (a, b):
+            raise AssertionError(
+                f"scan/recurrence disagreement at n={n}: "
+                f"scan=({scan_a},{scan_b}) rec=({a},{b})"
+            )
+        if scan_s != s:
+            raise AssertionError(f"s_n identity violated at n={n}")
+    return a, b, s
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +477,9 @@ def zero_density(
                 _save_checkpoint(checkpoint, n, results)
     else:
         with multiprocessing.Pool(
-            workers, initializer=_worker_init, initargs=(n, audit, tables)
+            min(workers, len(pending)),
+            initializer=_worker_init,
+            initargs=(n, audit, tables),
         ) as pool:
             for res in pool.imap_unordered(_scan_chunk, pending):
                 results[tuple(res["chunk"])] = res

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from .permcore import (
-    DOWN_SET_CAP,
     Perm,
     PermError,
     canonical_symmetry_form,
@@ -71,7 +70,7 @@ def _value(below: int, classes: Mapping[int, int]) -> int:
     return -sum(v * (below & m).bit_count() for v, m in classes.items())
 
 
-def _walk(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int, int]]:
+def _walk(sigma: Perm, pi: Perm) -> Iterator[tuple[Perm, int, int]]:
     """Yield ``(tau, closure, mu(sigma, tau))`` for each tau of [sigma, pi],
     bottom-up, lengths ascending; nothing unless sigma <= pi.
 
@@ -81,9 +80,9 @@ def _walk(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int, int]]:
     closures then flow bottom-up with only two adjacent levels alive.  Since
     sigma has value 1, tau lies in the interval exactly when the OR of its
     children's closures is nonzero.  Raises BudgetError once the deletion
-    closure passes ``cap`` elements.
+    closure passes ``DOWN_SET_CAP`` elements.
     """
-    levels, edges = deletion_levels(pi, len(sigma), cap)
+    levels, edges = deletion_levels(pi, len(sigma))
     bottom = levels.pop()
     try:
         start = bottom.index(sigma)
@@ -113,16 +112,16 @@ def _walk(sigma: Perm, pi: Perm, cap: int) -> Iterator[tuple[Perm, int, int]]:
         closed = above
 
 
-def interval_mobius(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> dict[Perm, int]:
+def interval_mobius(sigma: Perm, pi: Perm) -> dict[Perm, int]:
     """mu(sigma, tau) for every tau in [sigma, pi], in walk order (lengths
     ascending); empty if sigma !<= pi.  An empty sigma stands for 1: the
     empty permutation itself is left out."""
-    return {tau: value for tau, _closure, value in _walk(sigma or P1, pi, cap)}
+    return {tau: value for tau, _closure, value in _walk(sigma or P1, pi)}
 
 
-def _interval_mobius(sigma: Perm, pi: Perm, cap: int) -> int:
+def _interval_mobius(sigma: Perm, pi: Perm) -> int:
     """mu(sigma, pi) for sigma <= pi: the last value of the walk."""
-    for _tau, _closure, value in _walk(sigma, pi, cap):
+    for _tau, _closure, value in _walk(sigma, pi):
         pass
     return value
 
@@ -131,7 +130,6 @@ def principal_mobius(
     pi: Perm,
     pruned: bool = True,
     cache: Optional[MobiusCache] = None,
-    cap: int = DOWN_SET_CAP,
 ) -> int:
     """mu(1, pi), the principal Mobius function of a nonempty permutation.
 
@@ -150,13 +148,13 @@ def principal_mobius(
         hit = cache.get(pi)
         if hit is not None:
             return hit
-    value = _interval_mobius(P1, pi, cap)
+    value = _interval_mobius(P1, pi)
     if cache is not None:
         cache.put(pi, value)
     return value
 
 
-def mobius(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> int:
+def mobius(sigma: Perm, pi: Perm) -> int:
     """mu(sigma, pi) by the definitional recursion, evaluated bottom-up."""
     if not sigma:
         raise PermError("lower bound must be nonempty")
@@ -165,8 +163,8 @@ def mobius(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> int:
     if not contains(sigma, pi):
         return 0
     if sigma == P1:
-        return principal_mobius(pi, cap=cap)
-    return _interval_mobius(sigma, pi, cap)
+        return principal_mobius(pi)
+    return _interval_mobius(sigma, pi)
 
 
 class FinitePosetView:
@@ -226,11 +224,11 @@ def mobius_poset(P: FinitePosetView, x: Hashable, y: Hashable) -> int:
     return mu[y]
 
 
-def interval_as_poset(sigma: Perm, pi: Perm, cap: int = DOWN_SET_CAP) -> FinitePosetView:
+def interval_as_poset(sigma: Perm, pi: Perm) -> FinitePosetView:
     """The interval [sigma, pi] of the pattern poset as a FinitePosetView,
     listed in the order of the bottom-up walk (lengths ascending)."""
     below: dict[Perm, set[Perm]] = {}
-    for tau, _closure, _mu in _walk(sigma, pi, cap):
+    for tau, _closure, _mu in _walk(sigma, pi):
         down = below[tau] = set()
         for child in deletions(tau):
             if child in below:

@@ -18,7 +18,7 @@ EMPTY: Perm = ()
 #: Hard cap on permutation length; constructors reject longer inputs.
 MAX_LEN = 64
 
-#: Default cap on the number of elements a down-set enumeration may produce.
+#: Elements a deletion closure may hold; read by each ``deletion_levels`` call.
 DOWN_SET_CAP = 50_000_000
 
 
@@ -179,7 +179,7 @@ def deletions(pi: Perm) -> set[Perm]:
 
 
 def deletion_levels(
-    pi: Perm, length: int, cap: int = DOWN_SET_CAP
+    pi: Perm, length: int
 ) -> tuple[list[list[Perm]], list[list[tuple[int, ...]]]]:
     """The patterns of pi of every length from |pi| down to ``length``.
 
@@ -187,8 +187,9 @@ def deletion_levels(
     ``levels[d]`` lists the distinct patterns of length |pi| - d, and
     ``edges[d][j]`` holds the indices into ``levels[d + 1]`` of the single
     deletions of ``levels[d][j]``.  Raises BudgetError once the levels
-    together pass ``cap`` elements.
+    together pass ``DOWN_SET_CAP`` elements, read when the call starts.
     """
+    cap = DOWN_SET_CAP
     levels: list[list[Perm]] = [[pi]]
     edges: list[list[tuple[int, ...]]] = []
     count = 1
@@ -215,15 +216,15 @@ def deletion_levels(
     return levels, edges
 
 
-def down_set(pi: Perm, cap: int = DOWN_SET_CAP) -> set[Perm]:
+def down_set(pi: Perm) -> set[Perm]:
     """All nonempty patterns contained in pi (the interval [1, pi] as a set).
 
-    The union of ``deletion_levels(pi, 1, cap)``; raises BudgetError when the
-    set would exceed ``cap`` elements.
+    The union of ``deletion_levels(pi, 1)``; raises BudgetError when the set
+    would exceed ``DOWN_SET_CAP`` elements.
     """
     if not pi:
         raise PermError("down_set of the empty permutation is not defined")
-    levels, _ = deletion_levels(pi, 1, cap)
+    levels, _ = deletion_levels(pi, 1)
     return {tau for level in levels for tau in level}
 
 

@@ -19,7 +19,6 @@ import itertools
 
 from permobius.mobius import FinitePosetView, MobiusCache, principal_mobius
 from permobius.permcore import (
-    DOWN_SET_CAP,
     SYMMETRY_LABELS,
     Embedding,
     PermError,
@@ -134,7 +133,7 @@ def brute_eq_cancel(pi, i, j, memo=None):
     return True
 
 
-def recursive_principal_mobius(pi, pruned=True, cache=None, cap=DOWN_SET_CAP):
+def recursive_principal_mobius(pi, pruned=True, cache=None):
     """mu(1, pi) by recursion over a fresh down_set for every interior element.
 
     With ``pruned``, rule-certified interior zeros count as 0 without
@@ -154,7 +153,7 @@ def recursive_principal_mobius(pi, pruned=True, cache=None, cap=DOWN_SET_CAP):
         if hit is not None:
             return hit
         total = 0
-        for tau in down_set(p, cap):
+        for tau in down_set(p):
             if tau == p:
                 continue
             if pruned and len(tau) >= 3 and certify_zero(tau) is not None:

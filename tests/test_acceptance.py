@@ -21,7 +21,7 @@ from permobius import (
     run_theorem_suites,
     zero_density,
 )
-from permobius.census import LevelTables, adjacency_counts, count_adjacency_classes
+from permobius.census import LevelTables, adjacency_counts
 
 EXPECTED_DENSITIES = {
     1: "0.0000",
@@ -77,7 +77,7 @@ def test_criterion_2_theorem1_exhaustive(mu_table8):
 
 def test_criterion_3_adjacency_counts():
     for n in range(1, 8):
-        a, b, s = count_adjacency_classes(n)  # raises on scan/recurrence mismatch
+        a, b, s = adjacency_counts(n)  # raises on scan/recurrence mismatch
         assert (a, b) == (A_SEQ[n - 1], B_SEQ[n - 1])
         assert s == math.factorial(n) - 2 * a + b
     report(3, "a_n and b_n scans match the recurrences for n = 1..7; s_n identity exact")
@@ -146,6 +146,6 @@ def test_criterion_7_verify_suite():
 )
 def test_criterion_8_length_22_stretch():
     pi = parse("9 17 19 21 18 20 2 12 11 14 16 13 15 5 4 7 6 8 1 22 3 10")
-    value = principal_mobius(pi, cache=MobiusCache(), cap=500_000_000)
+    value = principal_mobius(pi, cache=MobiusCache())
     assert value == 1
     report(8, "mu(1, pi_22) = 1")

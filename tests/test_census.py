@@ -13,7 +13,6 @@ from permobius import (
     CensusRow,
     PermError,
     adjacency_counts,
-    count_adjacency_classes,
     density_bound_report,
     emit_table,
     principal_mobius,
@@ -54,16 +53,40 @@ class TestRecurrences:
         assert tuple(adjacency_free_recurrence(7)[1:]) == B_SEQ
 
     def test_scan_agreement(self):
-        # count_adjacency_classes cross-checks a direct scan against the
-        # recurrences and raises on disagreement
+        # adjacency_counts cross-checks a direct scan against the
+        # recurrences up to the desk cap and raises on disagreement
         for n in range(1, 9):
-            a, b, s = count_adjacency_classes(n)
+            a, b, s = adjacency_counts(n)
             assert s == math.factorial(n) - 2 * a + b
-            assert adjacency_counts(n) == (a, b, s)
+            assert (a, b) == (
+                no_up_adjacency_recurrence(n)[n],
+                adjacency_free_recurrence(n)[n],
+            )
 
     def test_identity_values(self):
         # s_6 = 720 - 2*309 + 90 = 192
-        assert count_adjacency_classes(6) == (309, 90, 192)
+        assert adjacency_counts(6) == (309, 90, 192)
+
+    @pytest.mark.parametrize(
+        "scan, message",
+        [
+            ((0, 0, 0), "scan/recurrence disagreement at n=6"),
+            ((309, 90, 191), "s_n identity violated at n=6"),
+        ],
+    )
+    def test_wrong_scan_raises(self, monkeypatch, scan, message):
+        # a wrong scan trips the cross-check up to the desk cap; beyond it
+        # only the recurrences are read
+        a = no_up_adjacency_recurrence(10)[10]
+        b = adjacency_free_recurrence(10)[10]
+        monkeypatch.setattr(census, "_adjacency_scan", lambda n: scan)
+        with pytest.raises(AssertionError, match=message):
+            adjacency_counts(6)
+        assert adjacency_counts(10) == (a, b, math.factorial(10) - 2 * a + b)
+
+    def test_nonpositive_n(self):
+        with pytest.raises(PermError):
+            adjacency_counts(0)
 
     def test_asymptotic_bound(self):
         # s_n / n! approaches (1 - 1/e)^2 from below at these sizes
@@ -155,6 +178,31 @@ class TestZeroDensity:
         monkeypatch.setattr(census, name, value)
         with pytest.raises(PermError, match="does not match"):
             zero_density(6, checkpoint=str(ck))
+
+    def test_pool_no_larger_than_pending_chunks(self, monkeypatch):
+        # 120 permutations in chunks of 37 make 4 chunks, so 64 workers
+        # start a pool of 4; the fake pool records its size and runs in-process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, func, items):
+                return map(func, items)
+
+        monkeypatch.setattr(census, "CHUNK_SIZE", 37)
+        serial = zero_density(5)
+        monkeypatch.setattr(census.multiprocessing, "Pool", InProcessPool)
+        assert zero_density(5, workers=64) == serial
+        assert sizes == [4]
 
     def test_level_budget(self, monkeypatch):
         monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", 64)

@@ -1,6 +1,8 @@
 import json
 
-from permobius import census
+import pytest
+
+from permobius import census, permcore
 from permobius.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_VERIFY, main
 
 
@@ -59,6 +61,24 @@ class TestDownset:
     def test_count(self, capsys):
         code, out, _ = run(capsys, "downset", "2413", "--count")
         assert (code, out.strip()) == (EXIT_OK, "8")
+
+
+class TestDownSetBudget:
+    # the deletion closure of 2413 down to length 1, [1, 2413], has 8 elements
+    @pytest.mark.parametrize(
+        "argv", [("pmu", "2413"), ("mu", "1", "2413"), ("downset", "2413")]
+    )
+    def test_over_budget(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 7)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert out == ""
+
+    def test_at_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 8)
+        code, out, _ = run(capsys, "pmu", "2413")
+        assert (code, out.strip()) == (EXIT_OK, "-3")
 
 
 class TestCensus:

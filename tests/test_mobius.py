@@ -23,7 +23,8 @@ from permobius import (
 )
 from permobius.census import LevelTables
 from permobius.mobius import _walk
-from permobius.permcore import DOWN_SET_CAP, Embedding, down_set
+from permobius import permcore
+from permobius.permcore import Embedding, down_set
 from oracles import (
     brute_contains,
     brute_down_set,
@@ -130,9 +131,10 @@ class TestPrincipal:
                 pi = tuple(rng.sample(range(1, n + 1), n))
                 assert sum(principal_mobius(t) for t in down_set(pi)) == 0
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 2)
         with pytest.raises(BudgetError):
-            principal_mobius(parse("2413"), cap=2)
+            principal_mobius(parse("2413"))
 
     def test_wide_interval_memory(self):
         # the walk's bitsets number only the nonzero elements (291 of the
@@ -315,7 +317,7 @@ class TestPosetView:
         tables8 = LevelTables(8)
         for n in range(1, 7):
             for pi in perms_of(n):
-                for tau, closure, value in _walk((1,), pi, DOWN_SET_CAP):
+                for tau, closure, value in _walk((1,), pi):
                     assert closure.bit_count() == tables8.closures[tau].bit_count(), (pi, tau)
                     assert value == tables8.mobius(tau), (pi, tau)
 

@@ -30,6 +30,7 @@ from permobius import (
     skew_sum,
     symmetry_orbit,
 )
+from permobius import permcore
 from permobius.permcore import deletion_levels, deletions
 from oracles import (
     brute_contains,
@@ -198,11 +199,12 @@ class TestDownSet:
             }
             assert maximal <= dels
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         from permobius import BudgetError
 
+        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 3)
         with pytest.raises(BudgetError):
-            down_set(parse("2413"), cap=3)
+            down_set(parse("2413"))
 
 
 class TestDeletionLevels:
@@ -226,13 +228,15 @@ class TestDeletionLevels:
         assert len(levels) == 2 and len(edges) == 1
         assert deletion_levels(parse("2413"), 4) == ([[parse("2413")]], [])
 
-    def test_cap_counts_every_level(self):
+    def test_cap_counts_every_level(self, monkeypatch):
         from permobius import BudgetError
 
         # [1, 2413] has 8 elements
-        assert sum(map(len, deletion_levels(parse("2413"), 1, cap=8)[0])) == 8
+        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 8)
+        assert sum(map(len, deletion_levels(parse("2413"), 1)[0])) == 8
+        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 7)
         with pytest.raises(BudgetError):
-            deletion_levels(parse("2413"), 1, cap=7)
+            deletion_levels(parse("2413"), 1)
 
 
 class TestIntervalMobius:

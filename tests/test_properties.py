@@ -1,6 +1,8 @@
 """Property tests: the interval engine against the brute-force oracle,
 symmetry invariance of mu(1, .) and of the zero rules, and the sum-split
 certificate against a brute-force scan of all 8 symmetric images."""
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from permobius import (
     mobius,
     pattern_of,
     principal_mobius,
+    permcore,
     skew_sum,
 )
 from oracles import brute_mobius, brute_sum_split, brute_symmetry
@@ -103,5 +106,8 @@ def test_budget_nonprincipal(pi, data):
     size = data.draw(st.integers(2, len(pi) - 1))
     positions = sorted(data.draw(st.permutations(range(len(pi))))[:size])
     sigma = pattern_of([pi[p] for p in positions])
-    with pytest.raises(BudgetError):
-        mobius(sigma, pi, cap=len(interval_mobius(sigma, pi)) - 1)
+    cap = len(interval_mobius(sigma, pi)) - 1
+    # a function-scoped fixture is not reset between hypothesis examples
+    with mock.patch.object(permcore, "DOWN_SET_CAP", cap):
+        with pytest.raises(BudgetError):
+            mobius(sigma, pi)
