@@ -18,12 +18,12 @@ walk in ``mobius.py``, numbered over all shorter permutations instead of
 one interval.
 
 The scan evaluates one representative per orbit of the 8 symmetries
-(weighted by orbit size) and partitions S_n into fixed lexicographic-rank
-chunks, so results are byte-identical for any worker count.  A chunk starts
-at its own rank, by unranking the prefix of its first block, and outside
-audit mode it visits only orbit candidates: permutations whose first entry
-is at most the first entry of each of their 8 images, read off pi[0],
-pi[-1] and the positions of 1 and n.  Only those reach ``symmetry_orbit``.
+(weighted by orbit size) and partitions S_n into the n(n-1) chunks of
+permutations that share their first two entries, in lexicographic order,
+so results are byte-identical for any worker count.  Outside audit mode a
+chunk visits only orbit candidates: permutations whose first entry is at
+most the first entry of each of their 8 images, read off pi[0], pi[-1] and
+the positions of 1 and n.  Only those reach ``symmetry_orbit``.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import sys
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .permcore import (
     BudgetError,
@@ -59,11 +59,9 @@ DENSITY_DESK_CAP = 9
 #: 146 MiB, n = 11 would need gigabytes of closures alone.
 LEVEL_BUDGET_BYTES = 1 << 28
 
-#: Permutations per scan chunk, in lexicographic rank order.
-CHUNK_SIZE = 4096
-
-#: Version 3 dropped the ``pruned`` field; older checkpoints do not resume.
-CHECKPOINT_VERSION = 3
+#: Version 4 keys chunks by their two-entry prefix; older checkpoints do
+#: not resume.
+CHECKPOINT_VERSION = 4
 
 ASYMPTOTIC_LOWER_BOUND = (1 - 1 / math.e) ** 2  # ~0.39957
 
@@ -288,15 +286,16 @@ def build_principal_table(n_max: int, cache: Optional[MobiusCache] = None) -> Mo
     return cache
 
 
-def _chunk_ranges(total: int) -> list[tuple[int, int]]:
-    # fixed-size rank chunks, independent of worker count
-    return [(lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
+def _chunks(n: int) -> list[Perm]:
+    # the two-entry prefixes in lexicographic order, independent of worker count
+    return list(itertools.permutations(range(1, n + 1), min(n, 2)))
 
 
 def _fingerprint() -> str:
-    """CRC-32 of what a checkpoint's counts depend on beyond n: the rule
-    tables behind ``certified`` and the chunking."""
-    text = repr((BASE_ANNIHILATORS, ANNIHILATOR_PAIRS, CHUNK_SIZE))
+    """CRC-32 of what a checkpoint's counts depend on beyond n and the
+    chunking that ``CHECKPOINT_VERSION`` pins: the rule tables behind
+    ``certified``."""
+    text = repr((BASE_ANNIHILATORS, ANNIHILATOR_PAIRS))
     return f"{zlib.crc32(text.encode()):08x}"
 
 
@@ -307,51 +306,19 @@ def _worker_init(n: int, audit: bool, tables: Optional[LevelTables]) -> None:
     _WORKER_STATE.update(n=n, audit=audit, tables=tables)
 
 
-def _ranked_permutations(n: int, lo: int, hi: int) -> Iterator[Perm]:
-    """The permutations of 1..n of lexicographic ranks lo..hi-1, in order.
-
-    Ranks come in blocks of m! sharing a prefix of length n - m, where m! is
-    the least factorial >= CHUNK_SIZE (m at most n).  Each block's prefix is
-    unranked directly, so a range skips at most m! - 1 permutations inside
-    its first block, not all lo before it.
-    """
-    m = 1
-    while m < n and math.factorial(m) < CHUNK_SIZE:
-        m += 1
-    size = math.factorial(m)
-    block, offset = divmod(lo, size)
-    while lo < hi:
-        rest = list(range(1, n + 1))
-        prefix = []
-        b = block
-        for k in range(n - 1, m - 1, -1):
-            d, b = divmod(b, math.factorial(k) // size)
-            prefix.append(rest.pop(d))
-        head = tuple(prefix)
-        count = min(hi - lo, size - offset)
-        for tail in itertools.islice(
-            itertools.permutations(rest), offset, offset + count
-        ):
-            yield head + tail
-        lo += count
-        block += 1
-        offset = 0
-
-
-def _scan_chunk(bounds: tuple[int, int]) -> dict:
+def _scan_chunk(prefix: Perm) -> dict:
     n = _WORKER_STATE["n"]
     audit = _WORKER_STATE["audit"]
     tables = _WORKER_STATE["tables"]
-    lo, hi = bounds
-    if not audit:
-        # pi = min(orbit) needs pi[0] at most the first entry of every image,
-        # among them the complement's n + 1 - pi[0]; the permutations with
-        # pi[0] <= (n+1)//2 are the ranks below (n+1)//2 * (n-1)!, and the
-        # ranks past that are never generated
-        hi = min(hi, (n + 1) // 2 * math.factorial(n - 1))
+    rest = [v for v in range(1, n + 1) if v not in prefix]
+    # pi = min(orbit) needs pi[0] at most the first entry of every image,
+    # among them the complement's n + 1 - pi[0]; past that no prefix holds
+    # an orbit candidate
+    dead = not audit and prefix[0] > n + 1 - prefix[0]
     zeros = certified = simple = simple_nonzero = 0
     audit_lines: list[str] = []
-    for pi in _ranked_permutations(n, lo, hi):
+    for tail in () if dead else itertools.permutations(rest):
+        pi = prefix + tail
         if audit:
             mu = principal_mobius(pi, cache=tables)
             audit_lines.append(f"{fmt(pi)}\t{mu}")
@@ -381,7 +348,7 @@ def _scan_chunk(bounds: tuple[int, int]) -> dict:
             if mu != 0:
                 simple_nonzero += weight
     return {
-        "chunk": bounds,
+        "chunk": prefix,
         "zeros": zeros,
         "certified": certified,
         "simple": simple,
@@ -390,12 +357,13 @@ def _scan_chunk(bounds: tuple[int, int]) -> dict:
     }
 
 
-_CHUNK_KEYS = {"chunk", "zeros", "certified", "simple", "simple_nonzero"}
+_COUNT_KEYS = ("zeros", "certified", "simple", "simple_nonzero")
 
 
 def _load_checkpoint(path: str, n: int) -> dict:
-    """The finished chunks of a checkpoint file by rank range; PermError if
-    the file is not a checkpoint of this run."""
+    """The finished chunks of a checkpoint file by prefix; PermError if the
+    file is not a checkpoint of this run or a chunk is not one of its
+    prefixes with four integer counts."""
     if not path or not os.path.exists(path):
         return {}
     with open(path) as fh:
@@ -411,8 +379,13 @@ def _load_checkpoint(path: str, n: int) -> dict:
     ):
         raise PermError(f"checkpoint {path} does not match this run")
     chunks = data.get("chunks", [])
+    prefixes = _chunks(n)
     if not isinstance(chunks, list) or not all(
-        isinstance(c, dict) and c.keys() >= _CHUNK_KEYS for c in chunks
+        isinstance(c, dict)
+        and isinstance(c.get("chunk"), list)
+        and tuple(c["chunk"]) in prefixes
+        and all(type(v) is int for v in [*c["chunk"], *map(c.get, _COUNT_KEYS)])
+        for c in chunks
     ):
         raise PermError(f"checkpoint {path} has a malformed chunk")
     return {tuple(c["chunk"]): c for c in chunks}
@@ -446,12 +419,12 @@ def zero_density(
     The level tables for n are built once in this process and handed to the
     workers through the pool initializer; each value of length n then costs
     one lookup per single deletion and a popcount per value class.  Each
-    chunk of ranks starts at its own rank, not by skipping the ones before
-    it.  Unless an audit file (one line per permutation) is requested, the
-    scan visits only orbit candidates and evaluates the least member of
-    each symmetry orbit, weighted by the orbit's size.  ``long_run`` must
-    be set for n above the desk cap.  Raises BudgetError when the level
-    tables would pass ``LEVEL_BUDGET_BYTES``.
+    chunk is the (n-2)! permutations that share a two-entry prefix.  Unless
+    an audit file (one line per permutation) is requested, the scan visits
+    only orbit candidates and evaluates the least member of each symmetry
+    orbit, weighted by the orbit's size.  ``long_run`` must be set for n
+    above the desk cap.  Raises BudgetError when the level tables would
+    pass ``LEVEL_BUDGET_BYTES``.
     """
     if n < 1:
         raise PermError("n must be positive")
@@ -461,13 +434,13 @@ def zero_density(
         )
     audit = audit_file is not None
     total = math.factorial(n)
-    chunks = _chunk_ranges(total)
+    chunks = _chunks(n)
     done = _load_checkpoint(checkpoint, n) if checkpoint else {}
     if audit and done:
         raise PermError("checkpoint resume cannot replay audit lines; rerun fresh")
     pending = [c for c in chunks if c not in done]
 
-    results: dict[tuple[int, int], dict] = dict(done)
+    results: dict[Perm, dict] = dict(done)
     tables = LevelTables(n) if pending else None
     if workers <= 1 or len(pending) <= 1:
         _worker_init(n, audit, tables)
@@ -482,20 +455,16 @@ def zero_density(
             initargs=(n, audit, tables),
         ) as pool:
             for res in pool.imap_unordered(_scan_chunk, pending):
-                results[tuple(res["chunk"])] = res
+                results[res["chunk"]] = res
                 if checkpoint:
                     _save_checkpoint(checkpoint, n, results)
 
-    zeros = certified = simple = simple_nonzero = 0
-    for chunk in chunks:  # deterministic aggregation order by rank range
-        res = results[chunk]
-        zeros += res["zeros"]
-        certified += res["certified"]
-        simple += res["simple"]
-        simple_nonzero += res["simple_nonzero"]
-        if audit:
-            for line in res["audit"]:
-                audit_file.write(line + "\n")
+    zeros, certified, simple, simple_nonzero = (
+        sum(results[c][k] for c in chunks) for k in _COUNT_KEYS
+    )
+    if audit:
+        for chunk in chunks:  # audit lines in prefix order
+            audit_file.writelines(line + "\n" for line in results[chunk]["audit"])
     a, b, s = adjacency_counts(n)
     return CensusRow(
         n=n,

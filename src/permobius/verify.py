@@ -30,7 +30,6 @@ from .census import LevelTables
 from .mobius import (
     FinitePosetView,
     P1,
-    _walk,
     interval_as_poset,
     interval_mobius,
     mobius,
@@ -142,9 +141,7 @@ def check_pro_form(
     return mu[pi] == rhs
 
 
-def check_eq_cancel_thm1(
-    pi: Perm, i: int, j: int, tables: Optional[LevelTables] = None
-) -> bool:
+def check_eq_cancel_thm1(pi: Perm, i: int, j: int, tables: LevelTables) -> bool:
     """Parity cancellation of the four wide embeddings around an up-adjacency
     at i and a down-adjacency at j, for every nonzero interior element.
 
@@ -152,22 +149,23 @@ def check_eq_cancel_thm1(
     lam < pi with mu(1, lam) != 0, the signs of pi and of the sources above
     lam must cancel: (-1)^|pi| + sum of (-1)^|src| over src >= lam is 0.
     The test reads closures, the bitsets of the nonzero-valued permutations
-    at or below a permutation: those of ``tables`` when they reach pi
-    (|pi| < tables.n), else those of one walk of [1, pi].  The nonzero
-    lam < pi are the OR of the closures of pi's deletions; each of the 8
-    ways to lie above or not above each source is one AND with the sources'
-    closures or their complements, and must hold no lam where the signed
-    sum is nonzero.
+    at or below a permutation, from ``tables``, which must reach pi
+    (|pi| < tables.n, else PreconditionError).  The nonzero lam < pi are
+    the OR of the closures of pi's deletions; each of the 8 ways to lie
+    above or not above each source is one AND with the sources' closures or
+    their complements, and must hold no lam where the signed sum is
+    nonzero.
     """
     ups, downs = adjacencies(pi)
     if i not in ups or j not in downs:
         raise PreconditionError(
             f"{fmt(pi)} has no up-adjacency at {i} / down-adjacency at {j}"
         )
-    if tables is not None and len(pi) < tables.n:
-        closures = tables.closures
-    else:
-        closures = {tau: c for tau, c, _mu in _walk(P1, pi)}
+    if len(pi) >= tables.n:
+        raise PreconditionError(
+            f"level tables for n={tables.n} hold no closure of length {len(pi)}"
+        )
+    closures = tables.closures
     below = 0
     for c in deletions(pi):
         below |= closures[c]

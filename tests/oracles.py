@@ -12,8 +12,8 @@ cancellation of Theorem 1's proof one interior element at a time.
 ``i_switch`` is the parity-reversing involution
 on embeddings from the proof of Theorem 1.  ``poset_from_covers`` builds a
 FinitePosetView from a cover list by closing it transitively.
-``brute_scan_chunk`` recounts a census chunk over every permutation of its
-rank range.
+``brute_scan_chunk`` recounts a census chunk over every permutation that
+starts with its prefix.
 """
 import itertools
 
@@ -204,13 +204,16 @@ def i_switch(e, i):
     return Embedding(e.target, image)
 
 
-def brute_scan_chunk(n, lo, hi):
-    """The counts of a census chunk: every permutation of lexicographic ranks
-    lo..hi-1 by skipping the ones before, its orbit from brute_symmetry,
-    the orbit's least member weighted by the orbit's size, mu by
-    principal_mobius with no cache and simplicity from brute_intervals."""
+def brute_scan_chunk(n, prefix):
+    """The counts of a census chunk: every permutation of 1..n that starts
+    with ``prefix``, found by filtering all of them, its orbit from
+    brute_symmetry, the orbit's least member weighted by the orbit's size,
+    mu by principal_mobius with no cache and simplicity from
+    brute_intervals."""
     counts = dict.fromkeys(("zeros", "certified", "simple", "simple_nonzero"), 0)
-    for pi in itertools.islice(itertools.permutations(range(1, n + 1)), lo, hi):
+    for pi in itertools.permutations(range(1, n + 1)):
+        if pi[: len(prefix)] != prefix:
+            continue
         orbit = {brute_symmetry(g, pi) for g in SYMMETRY_LABELS}
         if pi != min(orbit):
             continue

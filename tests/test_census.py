@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import sys
 import tracemalloc
 
@@ -151,28 +152,39 @@ class TestZeroDensity:
         resumed = zero_density(6, checkpoint=str(ck))
         assert (resumed.zero_count, resumed.total) == (full.zero_count, full.total)
         data = json.loads(ck.read_text())
-        assert data["version"] == census.CHECKPOINT_VERSION == 3
+        assert data["version"] == census.CHECKPOINT_VERSION == 4
         assert set(data) == {"version", "n", "fingerprint", "chunks"}
         # a second run resumes from the completed checkpoint
         again = zero_density(6, checkpoint=str(ck))
         assert again.zero_count == full.zero_count
 
     def test_checkpoint_version_rejected(self, tmp_path):
+        # a version-3 checkpoint, as version 3 wrote it for n = 6: one rank
+        # chunk of 4096 permutations, under a fingerprint of that chunk size
+        version3 = {
+            "version": 3,
+            "n": 6,
+            "fingerprint": "812744cc",
+            "chunks": [
+                {"chunk": [0, 720], "zeros": 386, "certified": 358, "simple": 46,
+                 "simple_nonzero": 46}
+            ],
+        }
         ck = tmp_path / "ck.json"
-        ck.write_text(json.dumps({"version": 99, "n": 6}))
-        with pytest.raises(PermError):
-            zero_density(6, checkpoint=str(ck))
+        for payload in ({"version": 99, "n": 6}, version3):
+            ck.write_text(json.dumps(payload))
+            with pytest.raises(PermError, match="does not match"):
+                zero_density(6, checkpoint=str(ck))
 
     @pytest.mark.parametrize(
         "name, value",
         [
             ("BASE_ANNIHILATORS", census.BASE_ANNIHILATORS[:-1]),
             ("ANNIHILATOR_PAIRS", census.ANNIHILATOR_PAIRS[:-1]),
-            ("CHUNK_SIZE", 2048),
         ],
     )
     def test_checkpoint_fingerprint_rejected(self, tmp_path, monkeypatch, name, value):
-        # a checkpoint written under other rule tables or chunking must not resume
+        # a checkpoint written under other rule tables must not resume
         ck = tmp_path / "ck.json"
         zero_density(6, checkpoint=str(ck))
         monkeypatch.setattr(census, name, value)
@@ -180,8 +192,8 @@ class TestZeroDensity:
             zero_density(6, checkpoint=str(ck))
 
     def test_pool_no_larger_than_pending_chunks(self, monkeypatch):
-        # 120 permutations in chunks of 37 make 4 chunks, so 64 workers
-        # start a pool of 4; the fake pool records its size and runs in-process
+        # S_3 has 6 two-entry prefixes, so 64 workers start a pool of 6;
+        # the fake pool records its size and runs in-process
         sizes = []
 
         class InProcessPool:
@@ -198,27 +210,26 @@ class TestZeroDensity:
             def imap_unordered(self, func, items):
                 return map(func, items)
 
-        monkeypatch.setattr(census, "CHUNK_SIZE", 37)
-        serial = zero_density(5)
+        serial = zero_density(3)
         monkeypatch.setattr(census.multiprocessing, "Pool", InProcessPool)
-        assert zero_density(5, workers=64) == serial
-        assert sizes == [4]
+        assert zero_density(3, workers=64) == serial
+        assert sizes == [6]
 
     def test_level_budget(self, monkeypatch):
         monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", 64)
         with pytest.raises(BudgetError):
             zero_density(6)
 
-    @pytest.mark.parametrize("chunk_size", [4096, 37])
-    def test_checkpoint_resumes_from_half(self, tmp_path, monkeypatch, chunk_size):
-        # a finished run's checkpoint cut to its first half of chunks, as an
-        # interrupted run leaves it, completes to the same row and chunks
-        monkeypatch.setattr(census, "CHUNK_SIZE", chunk_size)
+    @pytest.mark.parametrize("seed", [4096, 37])
+    def test_checkpoint_resumes_from_half(self, tmp_path, seed):
+        # a finished run's checkpoint cut to a random half of its chunks, as
+        # an interrupted pool run leaves it, completes to the same row and chunks
         ck = tmp_path / "ck.json"
         full = emit_table([zero_density(7, checkpoint=str(ck))], format="csv")
         data = json.loads(ck.read_text())
-        assert len(data["chunks"]) == -(-5040 // chunk_size)
-        half = dict(data, chunks=data["chunks"][: len(data["chunks"]) // 2])
+        assert len(data["chunks"]) == 7 * 6
+        kept = random.Random(seed).sample(data["chunks"], len(data["chunks"]) // 2)
+        half = dict(data, chunks=kept)
         ck.write_text(json.dumps(half))
         resumed = emit_table([zero_density(7, checkpoint=str(ck))], format="csv")
         assert resumed == full == emit_table([zero_density(7)], format="csv")
@@ -332,31 +343,18 @@ class TestLevelTables:
 
 
 class TestChunkScan:
-    @pytest.mark.parametrize("chunk_size", [4096, 37, 1])
-    def test_ranked_permutations_match_islice(self, monkeypatch, chunk_size):
-        # chunks of odd sizes that start and end inside blocks and cross them
-        monkeypatch.setattr(census, "CHUNK_SIZE", chunk_size)
-        for n in range(1, 8):
-            perms = list(itertools.permutations(range(1, n + 1)))
-            for lo, hi in census._chunk_ranges(len(perms)):
-                assert list(census._ranked_permutations(n, lo, hi)) == perms[lo:hi]
-
-    def test_ranked_permutations_n10(self):
-        # blocks of 7! under a prefix of length 3; chunk 1 crosses a block
-        chunks = census._chunk_ranges(math.factorial(10))
-        for lo, hi in (chunks[0], chunks[1], chunks[-1]):
-            expected = itertools.islice(itertools.permutations(range(1, 11)), lo, hi)
-            assert list(census._ranked_permutations(10, lo, hi)) == list(expected)
-
-    @pytest.mark.parametrize("chunk_size", [4096, 37])
-    def test_scan_chunk_matches_brute_oracle(self, monkeypatch, chunk_size):
-        monkeypatch.setattr(census, "CHUNK_SIZE", chunk_size)
+    @pytest.mark.parametrize("seed", [4096, 37])
+    def test_scan_chunk_matches_brute_oracle(self, seed):
+        # a pool worker takes its chunks in any order; no chunk's counts
+        # may depend on the chunks scanned before it
         for n in range(1, 8):
             census._worker_init(n, False, LevelTables(n))
-            for lo, hi in census._chunk_ranges(math.factorial(n)):
-                expected = brute_scan_chunk(n, lo, hi)
-                res = census._scan_chunk((lo, hi))
-                assert {k: res[k] for k in expected} == expected, (n, lo, hi)
+            prefixes = census._chunks(n)
+            random.Random(seed).shuffle(prefixes)
+            for prefix in prefixes:
+                expected = brute_scan_chunk(n, prefix)
+                res = census._scan_chunk(prefix)
+                assert {k: res[k] for k in expected} == expected, (n, prefix)
 
     def test_orbit_weights_sum_to_factorial(self, monkeypatch):
         # with every value 0, the zeros of a scan are its orbit weights
@@ -364,8 +362,7 @@ class TestChunkScan:
         monkeypatch.setattr(census, "certify_zero", lambda pi: None)
         for n in range(1, 9):
             census._worker_init(n, False, None)
-            chunks = census._chunk_ranges(math.factorial(n))
-            weights = sum(census._scan_chunk(c)["zeros"] for c in chunks)
+            weights = sum(census._scan_chunk(c)["zeros"] for c in census._chunks(n))
             assert weights == math.factorial(n), n
 
 

@@ -137,6 +137,19 @@ class TestCensus:
 
         self.corrupt_checkpoint(capsys, tmp_path / "ck.json", drop_zeros)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("chunk", 5), ("zeros", "58"), ("chunk", [0, 60])],
+        ids=["chunk-not-a-list", "zeros-a-string", "chunk-not-a-prefix"],
+    )
+    def test_checkpoint_chunk_malformed_value(self, capsys, tmp_path, key, value):
+        def set_value(text):
+            data = json.loads(text)
+            data["chunks"][0][key] = value
+            return json.dumps(data)
+
+        self.corrupt_checkpoint(capsys, tmp_path / "ck.json", set_value)
+
 
 class TestVerify:
     def test_text(self, capsys):

@@ -1,9 +1,13 @@
-"""Every name a library module imports is used there, or marked as kept.
+"""Every name a library module imports is used there, or marked as kept,
+and every private module-level name is read somewhere in the package.
 
 No linter runs on this package, so this stands in for pyflakes' F401: each
 ``src/permobius/*.py`` other than ``__init__.py`` (which re-exports) is
 parsed, and an imported name that no expression in the module reads fails
-the test unless its import statement carries ``# noqa: F401``.
+the test unless its import statement carries ``# noqa: F401``.  A private
+function, class or assignment at module level (``_name``, not a dunder)
+fails when no module of the package reads it, imports it or takes it as an
+attribute.
 """
 import ast
 from pathlib import Path
@@ -42,3 +46,47 @@ def test_guard_catches_a_leftover_import():
     assert unused_imports(source) == ["line 1: DOWN_SET_CAP"]
     kept = "from .permcore import DOWN_SET_CAP  # noqa: F401\n"
     assert unused_imports(kept) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    defined = {}
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}: {name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(where for name, where in defined.items() if name not in read)
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_private_names(sources) == []
+
+
+def test_guard_catches_a_dead_private_name():
+    sources = {
+        "a.py": (
+            "__version__ = '1'\n_KEPT = 1\n_DEAD = 2\n_LEFT: int = 3\n\n"
+            "def _called():\n    return _KEPT\n\n\nclass _Gone:\n    pass\n"
+        ),
+        "b.py": "from .a import _called\n\n\ndef public():\n    return _called()\n",
+    }
+    assert dead_private_names(sources) == ["a.py: _DEAD", "a.py: _Gone", "a.py: _LEFT"]
+    sources["b.py"] += "\n\ndef more(a):\n    return a._DEAD, _Gone, _LEFT\n"
+    assert dead_private_names(sources) == []

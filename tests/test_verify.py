@@ -135,13 +135,18 @@ class TestChecks:
             check_pro_form(parse("321"), parse("1234"), seed=0)
 
     def test_eq_cancel(self):
-        # 12354 has up-adjacencies at 1 and 2, a down-adjacency at 4
-        assert check_eq_cancel_thm1(parse("12354"), 1, 4)
-        assert check_eq_cancel_thm1(parse("367249815"), 2, 6)
+        # 12354 has up-adjacencies at 1 and 2, a down-adjacency at 4;
+        # 3672154 an up-adjacency at 2, down-adjacencies at 4 and 6
+        tables = LevelTables(8)
+        assert check_eq_cancel_thm1(parse("12354"), 1, 4, tables)
+        assert check_eq_cancel_thm1(parse("3672154"), 2, 6, tables)
 
     def test_eq_cancel_precondition(self):
         with pytest.raises(PreconditionError):
-            check_eq_cancel_thm1(parse("2413"), 1, 2)
+            check_eq_cancel_thm1(parse("2413"), 1, 2, LevelTables(5))
+        # LevelTables(5) hold closures up to length 4 only
+        with pytest.raises(PreconditionError, match="n=5"):
+            check_eq_cancel_thm1(parse("12354"), 1, 4, LevelTables(5))
 
     def test_tipped_core_detects_fake(self):
         P = poset_from_covers([0, 1, 2, 3], {(0, 1), (0, 2), (1, 3), (2, 3)})
@@ -174,17 +179,22 @@ class TestEqCancel:
             for pi, i, j in _adjacency_pairs(n):
                 want = brute_eq_cancel(pi, i, j, memo)
                 assert check_eq_cancel_thm1(pi, i, j, tables) == want, (pi, i, j)
-                assert check_eq_cancel_thm1(pi, i, j) == want, (pi, i, j)
                 checked += 1
         assert checked == 328
 
     def test_tables_and_walk_agree_at_length_7(self):
+        # the tables against the oracle on every pi of length 7 that has
+        # both adjacencies, at its first of each
         tables = LevelTables(8)
+        memo = {}
+        checked = 0
         for pi in itertools.permutations(range(1, 8)):
             ups, downs = adjacencies(pi)
             if ups and downs:
-                got = check_eq_cancel_thm1(pi, ups[0], downs[0], tables)
-                assert got == check_eq_cancel_thm1(pi, ups[0], downs[0]), pi
+                want = brute_eq_cancel(pi, ups[0], downs[0], memo)
+                assert check_eq_cancel_thm1(pi, ups[0], downs[0], tables) == want, pi
+                checked += 1
+        assert checked == 1448
 
     def test_zeroed_source_closure_fails(self):
         # the sources of 12354 at (1, 4) are 1243, 1234 and 123; without the
