@@ -24,6 +24,11 @@ so results are byte-identical for any worker count.  Outside audit mode a
 chunk visits only orbit candidates: permutations whose first entry is at
 most the first entry of each of their 8 images, read off pi[0], pi[-1] and
 the positions of 1 and n.  Only those reach ``symmetry_orbit``.
+
+The scan also counts the permutations with opposing adjacencies (s_n) and
+with none (b_n).  Reverse and complement swap up- and down-adjacencies and
+inverse keeps them, so orbit weights count both classes exactly, and
+``zero_density`` checks them against the recurrences at every n.
 """
 from __future__ import annotations
 
@@ -42,6 +47,7 @@ from .permcore import (
     BudgetError,
     Perm,
     PermError,
+    adjacencies,
     deletions,
     fmt,
     is_simple,
@@ -51,7 +57,6 @@ from .mobius import MobiusCache, _value, principal_mobius
 from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, certify_zero
 
 #: Default cap for the density sweep; longer runs need an explicit opt-in.
-#: Adjacency counts up to it are also checked against a direct S_n scan.
 DENSITY_DESK_CAP = 9
 
 #: Bytes the level tables (both levels' keys and entries, and the two dicts)
@@ -59,9 +64,9 @@ DENSITY_DESK_CAP = 9
 #: 146 MiB, n = 11 would need gigabytes of closures alone.
 LEVEL_BUDGET_BYTES = 1 << 28
 
-#: Version 4 keys chunks by their two-entry prefix; older checkpoints do
-#: not resume.
-CHECKPOINT_VERSION = 4
+#: Version 5 keys chunks by their two-entry prefix and stores the adjacency
+#: class counts of each; older checkpoints do not resume.
+CHECKPOINT_VERSION = 5
 
 ASYMPTOTIC_LOWER_BOUND = (1 - 1 / math.e) ** 2  # ~0.39957
 
@@ -108,7 +113,7 @@ def render_density(zeros: int, total: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Adjacency counts: scan and recurrence.
+# Adjacency counts from the recurrences.
 
 
 def no_up_adjacency_recurrence(n_max: int) -> list[int]:
@@ -132,43 +137,14 @@ def adjacency_free_recurrence(n_max: int) -> list[int]:
     return b[: n_max + 1]
 
 
-def _adjacency_scan(n: int) -> tuple[int, int, int]:
-    a = b = s = 0
-    for pi in itertools.permutations(range(1, n + 1)):
-        up = down = False
-        for k in range(n - 1):
-            d = pi[k + 1] - pi[k]
-            if d == 1:
-                up = True
-            elif d == -1:
-                down = True
-        if not up:
-            a += 1
-            if not down:
-                b += 1
-        elif down:
-            s += 1
-    return a, b, s
-
-
 def adjacency_counts(n: int) -> tuple[int, int, int]:
-    """(a_n, b_n, s_n) from the recurrences; for n up to the desk cap a
-    direct scan of S_n must agree with them."""
+    """(a_n, b_n, s_n) from the recurrences; ``zero_density`` checks b_n and
+    s_n against its own scan of S_n."""
     if n < 1:
         raise PermError(f"adjacency counts need n >= 1, got {n}")
     a = no_up_adjacency_recurrence(n)[n]
     b = adjacency_free_recurrence(n)[n]
-    s = math.factorial(n) - 2 * a + b
-    if n <= DENSITY_DESK_CAP:
-        scan_a, scan_b, scan_s = _adjacency_scan(n)
-        if (scan_a, scan_b) != (a, b):
-            raise AssertionError(
-                f"scan/recurrence disagreement at n={n}: "
-                f"scan=({scan_a},{scan_b}) rec=({a},{b})"
-            )
-        if scan_s != s:
-            raise AssertionError(f"s_n identity violated at n={n}")
-    return a, b, s
+    return a, b, math.factorial(n) - 2 * a + b
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +282,11 @@ def _worker_init(n: int, audit: bool, tables: Optional[LevelTables]) -> None:
     _WORKER_STATE.update(n=n, audit=audit, tables=tables)
 
 
+_COUNT_KEYS = (
+    "zeros", "certified", "simple", "simple_nonzero", "opposing", "adjacency_free"
+)
+
+
 def _scan_chunk(prefix: Perm) -> dict:
     n = _WORKER_STATE["n"]
     audit = _WORKER_STATE["audit"]
@@ -315,7 +296,7 @@ def _scan_chunk(prefix: Perm) -> dict:
     # among them the complement's n + 1 - pi[0]; past that no prefix holds
     # an orbit candidate
     dead = not audit and prefix[0] > n + 1 - prefix[0]
-    zeros = certified = simple = simple_nonzero = 0
+    counts = dict.fromkeys(_COUNT_KEYS, 0)
     audit_lines: list[str] = []
     for tail in () if dead else itertools.permutations(rest):
         pi = prefix + tail
@@ -340,30 +321,25 @@ def _scan_chunk(prefix: Perm) -> dict:
             weight = len(orbit)
             mu = principal_mobius(pi, cache=tables)
         if mu == 0:
-            zeros += weight
+            counts["zeros"] += weight
             if certify_zero(pi) is not None:
-                certified += weight
+                counts["certified"] += weight
         if is_simple(pi):
-            simple += weight
+            counts["simple"] += weight
             if mu != 0:
-                simple_nonzero += weight
-    return {
-        "chunk": prefix,
-        "zeros": zeros,
-        "certified": certified,
-        "simple": simple,
-        "simple_nonzero": simple_nonzero,
-        "audit": audit_lines,
-    }
-
-
-_COUNT_KEYS = ("zeros", "certified", "simple", "simple_nonzero")
+                counts["simple_nonzero"] += weight
+        ups, downs = adjacencies(pi)
+        if ups and downs:
+            counts["opposing"] += weight
+        elif not (ups or downs):
+            counts["adjacency_free"] += weight
+    return {"chunk": prefix, **counts, "audit": audit_lines}
 
 
 def _load_checkpoint(path: str, n: int) -> dict:
     """The finished chunks of a checkpoint file by prefix; PermError if the
     file is not a checkpoint of this run or a chunk is not one of its
-    prefixes with four integer counts."""
+    prefixes with an integer for each of ``_COUNT_KEYS``."""
     if not path or not os.path.exists(path):
         return {}
     with open(path) as fh:
@@ -407,6 +383,13 @@ def _save_checkpoint(path: str, n: int, done: dict) -> None:
     os.replace(tmp, path)
 
 
+def _check_desk_cap(n: int, long_run: bool) -> None:
+    if n > DENSITY_DESK_CAP and not long_run:
+        raise PermError(
+            f"n={n} is beyond the desk cap {DENSITY_DESK_CAP}; pass long_run=True"
+        )
+
+
 def zero_density(
     n: int,
     workers: int = 1,
@@ -424,16 +407,14 @@ def zero_density(
     only orbit candidates and evaluates the least member of each symmetry
     orbit, weighted by the orbit's size.  ``long_run`` must be set for n
     above the desk cap.  Raises BudgetError when the level tables would
-    pass ``LEVEL_BUDGET_BYTES``.
+    pass ``LEVEL_BUDGET_BYTES``, and AssertionError when the scan's
+    adjacency-free and opposing-adjacency counts are not the recurrences'
+    b_n and s_n.
     """
     if n < 1:
         raise PermError("n must be positive")
-    if n > DENSITY_DESK_CAP and not long_run:
-        raise PermError(
-            f"n={n} is beyond the desk cap {DENSITY_DESK_CAP}; pass long_run=True"
-        )
+    _check_desk_cap(n, long_run)
     audit = audit_file is not None
-    total = math.factorial(n)
     chunks = _chunks(n)
     done = _load_checkpoint(checkpoint, n) if checkpoint else {}
     if audit and done:
@@ -459,16 +440,21 @@ def zero_density(
                 if checkpoint:
                     _save_checkpoint(checkpoint, n, results)
 
-    zeros, certified, simple, simple_nonzero = (
+    zeros, certified, simple, simple_nonzero, opposing, adjacency_free = (
         sum(results[c][k] for c in chunks) for k in _COUNT_KEYS
     )
     if audit:
         for chunk in chunks:  # audit lines in prefix order
             audit_file.writelines(line + "\n" for line in results[chunk]["audit"])
     a, b, s = adjacency_counts(n)
+    if (adjacency_free, opposing) != (b, s):
+        raise AssertionError(
+            f"scan/recurrence disagreement at n={n}: "
+            f"scan (b, s)=({adjacency_free},{opposing}) rec=({b},{s})"
+        )
     return CensusRow(
         n=n,
-        total=total,
+        total=math.factorial(n),
         zero_count=zeros,
         certified_count=certified,
         a_n=a,
@@ -483,6 +469,8 @@ def sweep(n_max: int, workers: int = 1, long_run: bool = False) -> list[CensusRo
     """CensusRows for n = 1..n_max."""
     if n_max < 1:
         raise PermError(f"n_max must be at least 1, got {n_max}")
+    # refuse before any row is computed, naming the first n past the cap
+    _check_desk_cap(min(n_max, DENSITY_DESK_CAP + 1), long_run)
     return [
         zero_density(n, workers=workers, long_run=long_run)
         for n in range(1, n_max + 1)

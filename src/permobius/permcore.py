@@ -36,7 +36,9 @@ def perm(values: Iterable[int]) -> Perm:
     >>> perm([3, 1, 2])
     (3, 1, 2)
     """
-    vals = tuple(int(v) for v in values)
+    vals = tuple(values)
+    if not all(isinstance(v, int) for v in vals):
+        raise PermError(f"not a permutation of integers: {vals!r}")
     n = len(vals)
     if n > MAX_LEN:
         raise PermError(f"length {n} exceeds cap {MAX_LEN}")
@@ -48,18 +50,18 @@ def perm(values: Iterable[int]) -> Perm:
 def parse(text: str) -> Perm:
     """Parse a permutation from text.
 
-    Accepts whitespace- or comma-separated integers, or a compact digit
-    string (legal only when every value is at most 9).  Empty input parses
-    to the empty permutation.
+    Accepts whitespace- or comma-separated unsigned integers, or a compact
+    digit string (legal only when every value is at most 9).  Empty input
+    parses to the empty permutation.
     """
     text = text.strip()
     if not text:
         return EMPTY
     if "," in text or any(ch.isspace() for ch in text):
-        return perm(text.replace(",", " ").split())
-    if text.isdigit():
-        if len(text) == 1:
-            return perm((int(text),))
+        tokens = text.replace(",", " ").split()
+        if all(tok.isdecimal() for tok in tokens):
+            return perm(int(tok) for tok in tokens)
+    elif text.isdecimal():
         # compact form: one digit per value, so only valid for values <= 9
         return perm(int(ch) for ch in text)
     raise PermError(f"cannot parse permutation from {text!r}")

@@ -13,7 +13,9 @@ cancellation of Theorem 1's proof one interior element at a time.
 on embeddings from the proof of Theorem 1.  ``poset_from_covers`` builds a
 FinitePosetView from a cover list by closing it transitively.
 ``brute_scan_chunk`` recounts a census chunk over every permutation that
-starts with its prefix.
+starts with its prefix, and ``brute_adjacency_counts`` counts the adjacency
+classes of S_n; both read adjacencies off the plot as neighbouring points
+whose values differ by 1.
 """
 import itertools
 
@@ -209,8 +211,11 @@ def brute_scan_chunk(n, prefix):
     with ``prefix``, found by filtering all of them, its orbit from
     brute_symmetry, the orbit's least member weighted by the orbit's size,
     mu by principal_mobius with no cache and simplicity from
-    brute_intervals."""
-    counts = dict.fromkeys(("zeros", "certified", "simple", "simple_nonzero"), 0)
+    brute_intervals, and the adjacency classes from _plot_adjacencies."""
+    counts = dict.fromkeys(
+        ("zeros", "certified", "simple", "simple_nonzero", "opposing", "adjacency_free"),
+        0,
+    )
     for pi in itertools.permutations(range(1, n + 1)):
         if pi[: len(prefix)] != prefix:
             continue
@@ -227,4 +232,31 @@ def brute_scan_chunk(n, prefix):
             counts["simple"] += weight
             if mu != 0:
                 counts["simple_nonzero"] += weight
+        up, down = _plot_adjacencies(pi)
+        if up and down:
+            counts["opposing"] += weight
+        elif not (up or down):
+            counts["adjacency_free"] += weight
     return counts
+
+
+def _plot_adjacencies(pi):
+    """(has an up-adjacency, has a down-adjacency): neighbouring points of
+    the plot with |pi[i+1] - pi[i]| = 1, rising or falling."""
+    steps = {pi[k + 1] - pi[k] for k in range(len(pi) - 1)}
+    return 1 in steps, -1 in steps
+
+
+def brute_adjacency_counts(n):
+    """(a_n, b_n, s_n) by a scan of S_n: the permutations with no
+    up-adjacency, with no adjacency, and with both kinds."""
+    a = b = s = 0
+    for pi in itertools.permutations(range(1, n + 1)):
+        up, down = _plot_adjacencies(pi)
+        if not up:
+            a += 1
+            if not down:
+                b += 1
+        elif down:
+            s += 1
+    return a, b, s

@@ -77,10 +77,12 @@ def test_criterion_2_theorem1_exhaustive(mu_table8):
 
 def test_criterion_3_adjacency_counts():
     for n in range(1, 8):
-        a, b, s = adjacency_counts(n)  # raises on scan/recurrence mismatch
+        row = zero_density(n)  # raises when its scan disagrees with the recurrences
+        a, b, s = adjacency_counts(n)
+        assert (row.a_n, row.b_n, row.s_n) == (a, b, s)
         assert (a, b) == (A_SEQ[n - 1], B_SEQ[n - 1])
         assert s == math.factorial(n) - 2 * a + b
-    report(3, "a_n and b_n scans match the recurrences for n = 1..7; s_n identity exact")
+    report(3, "census scans of b_n and s_n match the recurrences for n = 1..7; s_n identity exact")
 
 
 def test_criterion_4_lower_bound():

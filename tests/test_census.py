@@ -28,7 +28,7 @@ from permobius.census import (
     build_principal_table,
     no_up_adjacency_recurrence,
 )
-from oracles import brute_scan_chunk
+from oracles import brute_adjacency_counts, brute_scan_chunk
 
 # Densities independently pinned by exhaustive evaluation with the
 # definitional oracle at small n (see test_mobius.py for oracle agreement).
@@ -54,36 +54,35 @@ class TestRecurrences:
         assert tuple(adjacency_free_recurrence(7)[1:]) == B_SEQ
 
     def test_scan_agreement(self):
-        # adjacency_counts cross-checks a direct scan against the
-        # recurrences up to the desk cap and raises on disagreement
-        for n in range(1, 9):
+        # the recurrences against a direct scan of S_n up to the desk cap
+        for n in range(1, 10):
             a, b, s = adjacency_counts(n)
+            assert (a, b, s) == brute_adjacency_counts(n), n
             assert s == math.factorial(n) - 2 * a + b
-            assert (a, b) == (
-                no_up_adjacency_recurrence(n)[n],
-                adjacency_free_recurrence(n)[n],
-            )
 
     def test_identity_values(self):
         # s_6 = 720 - 2*309 + 90 = 192
         assert adjacency_counts(6) == (309, 90, 192)
 
     @pytest.mark.parametrize(
-        "scan, message",
-        [
-            ((0, 0, 0), "scan/recurrence disagreement at n=6"),
-            ((309, 90, 191), "s_n identity violated at n=6"),
-        ],
+        "name", ["adjacency_free_recurrence", "no_up_adjacency_recurrence"]
     )
-    def test_wrong_scan_raises(self, monkeypatch, scan, message):
-        # a wrong scan trips the cross-check up to the desk cap; beyond it
-        # only the recurrences are read
-        a = no_up_adjacency_recurrence(10)[10]
-        b = adjacency_free_recurrence(10)[10]
-        monkeypatch.setattr(census, "_adjacency_scan", lambda n: scan)
-        with pytest.raises(AssertionError, match=message):
-            adjacency_counts(6)
-        assert adjacency_counts(10) == (a, b, math.factorial(10) - 2 * a + b)
+    @pytest.mark.parametrize("audit", [False, True], ids=["orbit", "audit"])
+    def test_wrong_recurrence_raises(self, monkeypatch, tmp_path, name, audit):
+        # negative control: a recurrence off by one at n = 6 (b_6 directly,
+        # a_6 through s_6 = 6! - 2a_6 + b_6) disagrees with the census's own
+        # adjacency counts, in orbit and in audit mode
+        right = getattr(census, name)
+
+        def wrong(n_max):
+            values = right(n_max)
+            values[6] += 1
+            return values
+
+        monkeypatch.setattr(census, name, wrong)
+        with open(tmp_path / "audit.tsv", "w") as fh:
+            with pytest.raises(AssertionError, match="disagreement at n=6:"):
+                zero_density(6, audit_file=fh if audit else None)
 
     def test_nonpositive_n(self):
         with pytest.raises(PermError):
@@ -152,13 +151,32 @@ class TestZeroDensity:
         resumed = zero_density(6, checkpoint=str(ck))
         assert (resumed.zero_count, resumed.total) == (full.zero_count, full.total)
         data = json.loads(ck.read_text())
-        assert data["version"] == census.CHECKPOINT_VERSION == 4
+        assert data["version"] == census.CHECKPOINT_VERSION == 5
         assert set(data) == {"version", "n", "fingerprint", "chunks"}
         # a second run resumes from the completed checkpoint
         again = zero_density(6, checkpoint=str(ck))
         assert again.zero_count == full.zero_count
 
     def test_checkpoint_version_rejected(self, tmp_path):
+        # a version-4 checkpoint, as version 4 wrote it for n = 6: the 30
+        # two-entry prefixes, each with four counts (zero where not listed);
+        # its chunks lack the adjacency class counts of version 5
+        keys4 = ("zeros", "certified", "simple", "simple_nonzero")
+        counts4 = {
+            (1, 2): (92, 92, 0, 0), (1, 3): (52, 52, 0, 0), (1, 4): (48, 48, 0, 0),
+            (1, 5): (38, 38, 0, 0), (1, 6): (16, 16, 0, 0), (2, 1): (66, 58, 0, 0),
+            (2, 3): (48, 36, 0, 0), (2, 4): (8, 8, 24, 24), (2, 5): (16, 8, 20, 20),
+            (3, 2): (2, 2, 0, 0), (3, 5): (0, 0, 2, 2),
+        }
+        version4 = {
+            "version": 4,
+            "n": 6,
+            "fingerprint": "e04a9aef",
+            "chunks": [
+                {"chunk": list(p), **dict(zip(keys4, counts4.get(p, (0, 0, 0, 0))))}
+                for p in itertools.permutations(range(1, 7), 2)
+            ],
+        }
         # a version-3 checkpoint, as version 3 wrote it for n = 6: one rank
         # chunk of 4096 permutations, under a fingerprint of that chunk size
         version3 = {
@@ -171,10 +189,14 @@ class TestZeroDensity:
             ],
         }
         ck = tmp_path / "ck.json"
-        for payload in ({"version": 99, "n": 6}, version3):
+        for payload in ({"version": 99, "n": 6}, version3, version4):
             ck.write_text(json.dumps(payload))
             with pytest.raises(PermError, match="does not match"):
                 zero_density(6, checkpoint=str(ck))
+        # relabelled as version 5, its chunks miss two counts
+        ck.write_text(json.dumps(dict(version4, version=5)))
+        with pytest.raises(PermError, match="malformed chunk"):
+            zero_density(6, checkpoint=str(ck))
 
     @pytest.mark.parametrize(
         "name, value",

@@ -30,10 +30,12 @@ class TestEvaluation:
         assert (code, out.strip()) == (EXIT_OK, "0")
 
     def test_bad_perm(self, capsys):
-        code, out, err = run(capsys, "pmu", "122")
-        assert code == EXIT_DOMAIN
-        assert err.startswith("error:")
-        assert out == ""
+        # a repeated value, words, a decimal and a non-digit after a comma
+        for text in ("122", "a b", "1.5 2", "1,x"):
+            code, out, err = run(capsys, "pmu", text)
+            assert code == EXIT_DOMAIN, text
+            assert err.startswith("error:") and err.count("\n") == 1, text
+            assert out == "", text
 
 
 class TestZero:
@@ -188,6 +190,16 @@ class TestTable:
             code, out, err = run(capsys, "table", "--nmax", nmax)
             assert code == EXIT_DOMAIN
             assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("nmax", ["10", "12"])
+    def test_desk_cap_before_any_row(self, capsys, monkeypatch, nmax):
+        # past the desk cap the sweep refuses before it computes a row, and
+        # names the first n past the cap, as a row-by-row sweep would
+        calls = []
+        monkeypatch.setattr(census, "zero_density", lambda *a, **kw: calls.append(a))
+        code, out, err = run(capsys, "table", "--nmax", nmax)
+        assert (code, out, calls) == (EXIT_DOMAIN, "", [])
+        assert err == "error: n=10 is beyond the desk cap 9; pass long_run=True\n"
 
 
 class TestExitCodes:

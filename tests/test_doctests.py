@@ -3,12 +3,15 @@
 The ``permcore`` docstrings run through ``doctest``, and so do the
 ``python`` code blocks of README.md's library tour; the blocks are cut out
 at their fences, which doctest would otherwise read as expected output.
+The README's CLI lines that state their output in a comment run through
+``cli.main``.
 """
 import doctest
 import re
+import shlex
 from pathlib import Path
 
-from permobius import permcore
+from permobius import cli, permcore
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +29,13 @@ def test_readme_library_tour():
     runner = doctest.DocTestRunner()
     runner.run(test)
     assert test.examples and runner.failures == 0
+
+
+def test_readme_cli_examples(capsys):
+    # "permobius ARGS  # OUTPUT", or "# TEXT -> OUTPUT"
+    examples = re.findall(r"^permobius (.+?)\s+# (.+)$", README.read_text(), re.M)
+    assert len(examples) == 4
+    for args, comment in examples:
+        expected = comment.split("->")[-1].strip()
+        assert cli.main(shlex.split(args)) == cli.EXIT_OK, args
+        assert capsys.readouterr().out == expected + "\n", args

@@ -70,6 +70,11 @@ class TestParse:
         with pytest.raises(PermError):
             parse("2 2 3")
 
+    def test_not_integers(self):
+        # floats are refused, not truncated to (2, 1)
+        with pytest.raises(PermError):
+            perm([2.7, 1.2])
+
     def test_over_cap(self):
         with pytest.raises(PermError):
             perm(range(1, 66))

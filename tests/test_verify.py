@@ -171,7 +171,7 @@ def _adjacency_pairs(n):
 
 
 class TestEqCancel:
-    def test_tables_walk_and_oracle_agree(self):
+    def test_tables_and_oracle_agree(self):
         tables = LevelTables(7)
         memo = {}
         checked = 0
@@ -182,7 +182,7 @@ class TestEqCancel:
                 checked += 1
         assert checked == 328
 
-    def test_tables_and_walk_agree_at_length_7(self):
+    def test_tables_and_oracle_agree_at_length_7(self):
         # the tables against the oracle on every pi of length 7 that has
         # both adjacencies, at its first of each
         tables = LevelTables(8)
