@@ -6,16 +6,17 @@ nonzero-valued permutations of length <= n-2 are numbered in ascending
 length and lexicographic rank; each permutation of those lengths keeps a
 closure, the Python-int bitset of the numbered permutations at or below it.
 Length n-1 keeps only each permutation's value and its children's closures.
-With ``classes[v]`` the bitset of the numbered permutations of value v, a
-permutation pi of length n has
+The values are signed bit planes: ``classes[s * 2**j]`` (s = +1 or -1) is
+the bitset of the numbered permutations whose value has sign s and bit j
+set in its magnitude.  A permutation pi of length n has
 
     mu(1, pi) = -sum of mu(tau) over its distinct single deletions tau
-                - sum_v v * |D & classes[v]|,
+                - sum_p p * |D & classes[p]|,
 
 where D is the OR of the closures of pi's double deletions.  This is the
-layout and the value-class popcount (``mobius._value``) of the interval
-walk in ``mobius.py``, numbered over all shorter permutations instead of
-one interval.
+layout and the bit-plane popcount (``mobius._enter`` and ``mobius._value``)
+of the interval walk in ``mobius.py``, numbered over all shorter
+permutations instead of one interval.
 
 The scan evaluates one representative per orbit of the 8 symmetries
 (weighted by orbit size) and partitions S_n into the n(n-1) chunks of
@@ -53,7 +54,7 @@ from .permcore import (
     is_simple,
     symmetry_orbit,
 )
-from .mobius import MobiusCache, _value, principal_mobius
+from .mobius import MobiusCache, _enter, _value, principal_mobius
 from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, certify_zero
 
 #: Default cap for the density sweep; longer runs need an explicit opt-in.
@@ -158,8 +159,10 @@ class LevelTables:
     with closure 0) to the bitset of the nonzero-valued permutations at or
     below it; those are numbered in ascending length, then lexicographic
     rank.  ``top`` maps each permutation of length n-1 to its value and the
-    tuple of its children's closures.  ``classes[v]`` is the bitset of the
-    numbered permutations of value v.  Raises BudgetError once both levels'
+    tuple of its children's closures.  ``classes`` holds the values of the
+    numbered permutations as signed bit planes: ``classes[s * 2**j]`` is the
+    bitset of those whose value has sign s and bit j set in its magnitude
+    (``mobius._enter``).  Raises BudgetError once both levels'
     keys and entries and the two dicts pass ``LEVEL_BUDGET_BYTES``; a
     dict's growth within a level is counted when the level ends.
 
@@ -178,7 +181,7 @@ class LevelTables:
         self.memo = MobiusCache()
         closures, top, classes = self.closures, self.top, self.classes
         getsizeof = sys.getsizeof
-        bit = size = 0
+        bit, size = 1, 0
         for k in range(1, n):
             # a dict's own size changes only when it resizes: count the two
             # as they were when the level began, and exactly once it is done
@@ -194,9 +197,9 @@ class LevelTables:
                     for c in kids:
                         closure |= c
                     if mu:
-                        classes[mu] = classes.get(mu, 0) | (1 << bit)
-                        closure |= 1 << bit
-                        bit += 1
+                        _enter(classes, mu, bit)
+                        closure |= bit
+                        bit <<= 1
                     closures[tau] = closure
                     size += getsizeof(tau) + getsizeof(closure)
                 if size + dicts > LEVEL_BUDGET_BYTES:
@@ -401,7 +404,7 @@ def zero_density(
 
     The level tables for n are built once in this process and handed to the
     workers through the pool initializer; each value of length n then costs
-    one lookup per single deletion and a popcount per value class.  Each
+    one lookup per single deletion and a popcount per signed bit plane.  Each
     chunk is the (n-2)! permutations that share a two-entry prefix.  Unless
     an audit file (one line per permutation) is requested, the scan visits
     only orbit candidates and evaluates the least member of each symmetry

@@ -1,18 +1,21 @@
 """Exact Mobius-function evaluation on permutation intervals and finite posets.
 
 The permutation evaluator builds the interval [sigma, pi] once, top-down by
-single-point deletion, one level per length, and fills values bottom-up in
-one walk.  Only the nonzero-valued elements are numbered; each element's
-closure is the Python-int bitset of the numbered elements at or below it,
-and mu(sigma, tau) is a popcount of the OR of its children's closures
-against the bitsets of the elements holding each nonzero value (``_value``,
-which the census level tables share).  ``interval_mobius`` returns every
-value of that walk.  An optional cache memoizes principal values
-mu(1, pi) only, keyed by the symmetry-canonical form of pi, which is sound
-because the principal Mobius function is symmetry-invariant; values with
-another lower bound are not cached.  Interior zeros are computed like every
-other value; the earlier recursion that skipped rule-certified zeros
-survives as a test oracle.
+single-point deletion on ``bytes``, one level per length, and fills values
+bottom-up in one walk.  Only the nonzero-valued elements are numbered; each
+element's closure is the Python-int bitset of the numbered elements at or
+below it.  The values are held as signed bit planes: ``classes[s * 2**j]``
+(s = +1 or -1) is the bitset of the numbered elements whose value has sign
+s and bit j set in its magnitude.  mu(sigma, tau) is then one popcount per
+plane of the OR of its children's closures (``_value``, which the census
+level tables share), so the work per element grows with the bits of the
+largest value, not with the number of distinct values.
+``interval_mobius`` returns every value of that walk.  An optional cache
+memoizes principal values mu(1, pi) only, keyed by the symmetry-canonical
+form of pi, which is sound because the principal Mobius function is
+symmetry-invariant; values with another lower bound are not cached.
+Interior zeros are computed like every other value; the earlier recursion
+that skipped rule-certified zeros survives as a test oracle.
 """
 from __future__ import annotations
 
@@ -63,10 +66,22 @@ class MobiusCache:
         return len(self._data)
 
 
+def _enter(classes: dict[int, int], value: int, bit: int) -> None:
+    """OR ``bit`` into the signed bit planes of a nonzero ``value``:
+    ``classes[s * 2**j]`` for each set bit j of |value|, s its sign."""
+    sign = 1 if value > 0 else -1
+    value *= sign
+    while value:
+        low = value & -value
+        value ^= low
+        low *= sign
+        classes[low] = classes.get(low, 0) | bit
+
+
 def _value(below: int, classes: Mapping[int, int]) -> int:
-    """-sum_v v * |below & classes[v]|: mu(sigma, tau) when ``below`` is the
-    bitset of the nonzero-valued elements strictly below tau and
-    ``classes[v]`` the bitset of those of value v."""
+    """-sum_p p * |below & classes[p]|: mu(sigma, tau) when ``below`` is the
+    bitset of the nonzero-valued elements strictly below tau and ``classes``
+    the signed bit planes ``_enter`` fills with their values."""
     return -sum(v * (below & m).bit_count() for v, m in classes.items())
 
 
@@ -85,7 +100,7 @@ def _walk(sigma: Perm, pi: Perm) -> Iterator[tuple[Perm, int, int]]:
     levels, edges = deletion_levels(pi, len(sigma))
     bottom = levels.pop()
     try:
-        start = bottom.index(sigma)
+        start = bottom.index(bytes(sigma))
     except ValueError:
         return
     # closed[k]: closure of element k of the level below, 0 outside the interval
@@ -93,7 +108,7 @@ def _walk(sigma: Perm, pi: Perm) -> Iterator[tuple[Perm, int, int]]:
     closed[start] = 1
     classes = {1: 1}
     yield sigma, 1, 1
-    bit = 1
+    bit = 2
     while levels:
         level, rows = levels.pop(), edges.pop()
         above = []
@@ -104,10 +119,10 @@ def _walk(sigma: Perm, pi: Perm) -> Iterator[tuple[Perm, int, int]]:
             if below:
                 value = _value(below, classes)
                 if value:
-                    classes[value] = classes.get(value, 0) | (1 << bit)
-                    below |= 1 << bit
-                    bit += 1
-                yield tau, below, value
+                    _enter(classes, value, bit)
+                    below |= bit
+                    bit <<= 1
+                yield tuple(tau), below, value
             above.append(below)
         closed = above
 
@@ -187,6 +202,7 @@ class FinitePosetView:
                 )
             self._below[e] = bs
         self.elements = tuple(self._below)
+        self._position = {e: k for k, e in enumerate(self.elements)}
 
     def leq(self, a: Hashable, b: Hashable) -> bool:
         return a == b or a in self._below[b]
@@ -195,10 +211,15 @@ class FinitePosetView:
         return self._below[b]
 
     def interval(self, x: Hashable, y: Hashable) -> list[Hashable]:
-        """Elements of [x, y] in listed order, which is a linear extension."""
+        """Elements of [x, y] in listed order, which is a linear extension;
+        reads only the down-set of y."""
         if not self.leq(x, y):
             return []
-        return [z for z in self.elements if self.leq(x, z) and self.leq(z, y)]
+        below = self._below
+        found = [z for z in below[y] if z == x or x in below[z]]
+        found.append(y)
+        found.sort(key=self._position.__getitem__)
+        return found
 
     def induced(self, elements: Iterable[Hashable]) -> "FinitePosetView":
         """The subposet on ``elements``, listed in this poset's order."""

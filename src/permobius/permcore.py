@@ -174,34 +174,45 @@ def contains(sigma: Perm, pi: Perm) -> bool:
     return _search(sigma, pi, lambda image: True)
 
 
+#: Deleting value v from a permutation held as ``bytes``: drop the byte
+#: ``_DROP[v]``, then ``translate`` by ``_SHIFT[v]``, which lowers every byte
+#: above v by one.  One table per value up to ``MAX_LEN``.
+_DROP = [bytes([v]) for v in range(MAX_LEN + 1)]
+_SHIFT = [bytes(range(v + 1)) + bytes(range(v, 255)) for v in range(MAX_LEN + 1)]
+
+
+def _deletions(tau: bytes) -> set[bytes]:
+    """The distinct single deletions of a permutation held as ``bytes``."""
+    return {tau.replace(_DROP[v], b"").translate(_SHIFT[v]) for v in tau}
+
+
 def deletions(pi: Perm) -> set[Perm]:
     """Distinct patterns obtained by deleting one point of pi."""
-    # deleting value v shifts every larger value down by one
-    return {tuple([x - (x > v) for x in pi if x != v]) for v in pi}
+    return {tuple(tau) for tau in _deletions(bytes(pi))}
 
 
 def deletion_levels(
     pi: Perm, length: int
-) -> tuple[list[list[Perm]], list[list[tuple[int, ...]]]]:
+) -> tuple[list[list[bytes]], list[list[tuple[int, ...]]]]:
     """The patterns of pi of every length from |pi| down to ``length``.
 
     Built top-down by single-point deletion, one level per length:
-    ``levels[d]`` lists the distinct patterns of length |pi| - d, and
+    ``levels[d]`` lists the distinct patterns of length |pi| - d, each as
+    the ``bytes`` of its one-line notation (``tuple`` gives the Perm), and
     ``edges[d][j]`` holds the indices into ``levels[d + 1]`` of the single
     deletions of ``levels[d][j]``.  Raises BudgetError once the levels
     together pass ``DOWN_SET_CAP`` elements, read when the call starts.
     """
     cap = DOWN_SET_CAP
-    levels: list[list[Perm]] = [[pi]]
+    levels: list[list[bytes]] = [[bytes(pi)]]
     edges: list[list[tuple[int, ...]]] = []
     count = 1
     for _ in range(len(pi) - length):
-        index: dict[Perm, int] = {}
+        index: dict[bytes, int] = {}
         rows = []
         for tau in levels[-1]:
-            row = set()
-            for v in tau:
-                child = tuple([x - (x > v) for x in tau if x != v])
+            row = []
+            for child in _deletions(tau):
                 k = index.get(child)
                 if k is None:
                     count += 1
@@ -211,7 +222,7 @@ def deletion_levels(
                             f"{length} exceeds cap of {cap} elements"
                         )
                     k = index[child] = len(index)
-                row.add(k)
+                row.append(k)
             rows.append(tuple(row))
         levels.append(list(index))
         edges.append(rows)
@@ -227,7 +238,7 @@ def down_set(pi: Perm) -> set[Perm]:
     if not pi:
         raise PermError("down_set of the empty permutation is not defined")
     levels, _ = deletion_levels(pi, 1)
-    return {tau for level in levels for tau in level}
+    return {tuple(tau) for level in levels for tau in level}
 
 
 def direct_sum(alpha: Perm, beta: Perm) -> Perm:

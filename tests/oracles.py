@@ -2,6 +2,7 @@
 
 These deliberately avoid the library's code paths: containment is checked
 by enumerating subsequences, down-sets by enumerating all subsequences,
+single deletions by relabelling a tuple,
 symmetries by moving the points of the plot one letter at a time,
 intervals by comparing each window's value set with a range, and Mobius
 values by the definitional recursion over exact (non-canonicalized) keys.
@@ -11,7 +12,8 @@ earlier sum-split search.  ``brute_eq_cancel`` checks the parity
 cancellation of Theorem 1's proof one interior element at a time.
 ``i_switch`` is the parity-reversing involution
 on embeddings from the proof of Theorem 1.  ``poset_from_covers`` builds a
-FinitePosetView from a cover list by closing it transitively.
+FinitePosetView from a cover list by closing it transitively, and
+``brute_interval`` reads an interval off a view by testing every element.
 ``brute_scan_chunk`` recounts a census chunk over every permutation that
 starts with its prefix, and ``brute_adjacency_counts`` counts the adjacency
 classes of S_n; both read adjacencies off the plot as neighbouring points
@@ -44,6 +46,20 @@ def brute_down_set(pi):
         for c in itertools.combinations(pi, k):
             out.add(pattern_of(c))
     return out
+
+
+def brute_deletions(pi):
+    """The single deletions of pi on tuples: deleting value v shifts every
+    larger value down by one."""
+    return {tuple([x - (x > v) for x in pi if x != v]) for v in pi}
+
+
+def brute_interval(P, x, y):
+    """[x, y] of a FinitePosetView by testing every element of the poset
+    with ``leq``, in listed order."""
+    if not P.leq(x, y):
+        return []
+    return [z for z in P.elements if P.leq(x, z) and P.leq(z, y)]
 
 
 def brute_symmetry(label, pi):

@@ -143,7 +143,7 @@ def test_criterion_7_verify_suite():
     os.environ.get("PERMOBIUS_STRETCH") != "1",
     reason=(
         "stretch criterion; set PERMOBIUS_STRETCH=1 to run "
-        "(about 7 s and 80 MiB peak RSS on a 2-core x86-64 machine)"
+        "(about 2 s and 63 MiB peak RSS on a 2-core x86-64 machine)"
     ),
 )
 def test_criterion_8_length_22_stretch():

@@ -4,6 +4,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permobius import (
     BudgetError,
@@ -22,12 +24,13 @@ from permobius import (
     principal_mobius,
 )
 from permobius.census import LevelTables
-from permobius.mobius import _walk
+from permobius.mobius import _enter, _value, _walk
 from permobius import permcore
 from permobius.permcore import Embedding, down_set
 from oracles import (
     brute_contains,
     brute_down_set,
+    brute_interval,
     brute_mobius,
     i_switch,
     poset_from_covers,
@@ -309,6 +312,16 @@ class TestPosetView:
                     for tau, value in values.items():
                         assert value == mobius_poset(P, sigma, tau), (sigma, tau)
 
+    def test_interval_reads_the_down_set(self):
+        # every (x, y) of every [1, pi] with |pi| <= 5, incomparable pairs
+        # included, against the test of every element
+        for n in range(1, 6):
+            for pi in perms_of(n):
+                P = interval_as_poset((1,), pi)
+                for x in P.elements:
+                    for y in P.elements:
+                        assert P.interval(x, y) == brute_interval(P, x, y), (pi, x, y)
+
     def test_walk_closures_match_level_tables(self):
         # closures number the nonzero elements per interval in the walk and
         # over all shorter permutations in the tables, so only their
@@ -320,6 +333,38 @@ class TestPosetView:
                 for tau, closure, value in _walk((1,), pi):
                     assert closure.bit_count() == tables8.closures[tau].bit_count(), (pi, tau)
                     assert value == tables8.mobius(tau), (pi, tau)
+
+
+class TestBitPlanes:
+    @given(
+        st.lists(
+            st.integers(-5000, 5000).filter(bool)
+            | st.sampled_from([1 << 10, -(1 << 10), 1 << 40, -(1 << 40) - 1]),
+            max_size=40,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_value_is_the_per_value_sum(self, values, data):
+        classes: dict[int, int] = {}
+        for k, v in enumerate(values):
+            _enter(classes, v, 1 << k)
+        assert all(abs(p).bit_count() == 1 for p in classes)
+        below = data.draw(st.integers(0, (1 << len(values)) - 1))
+        want = -sum(v for k, v in enumerate(values) if below >> k & 1)
+        assert _value(below, classes) == want
+
+
+class TestPublicResultsAreTuples:
+    # fmt renders a leaked bytes like a tuple, so the CLI tests cannot see one
+    def test_types(self):
+        pi = parse("25314")
+        sigma = parse("12")
+        assert all(type(t) is tuple for t in interval_mobius(sigma, pi))
+        assert all(type(t) is tuple for t, _closure, _mu in _walk(sigma, pi))
+        assert all(type(t) is tuple for t in down_set(pi))
+        assert all(type(t) is tuple for t in permcore.deletions(pi))
+        assert all(type(t) is tuple for t in interval_as_poset(sigma, pi).elements)
 
 
 class TestLongHosts:

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permobius import (
@@ -34,6 +34,7 @@ from permobius import permcore
 from permobius.permcore import deletion_levels, deletions
 from oracles import (
     brute_contains,
+    brute_deletions,
     brute_down_set,
     brute_intervals,
     brute_mobius,
@@ -46,6 +47,10 @@ perms_up_to = lambda n: (
 )
 
 small_perm = st.integers(1, 6).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
+)
+
+any_length_perm = st.integers(1, permcore.MAX_LEN).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 )
 
@@ -217,21 +222,40 @@ class TestDeletionLevels:
         for pi in perms_up_to(6):
             levels, edges = deletion_levels(pi, 1)
             below = brute_down_set(pi)
-            assert [set(level) for level in levels] == [
+            assert [{tuple(t) for t in level} for level in levels] == [
                 {t for t in below if len(t) == len(pi) - d} for d in range(len(pi))
             ], pi
             assert all(len(level) == len(set(level)) for level in levels)
             for d, rows in enumerate(edges):
                 for tau, row in zip(levels[d], rows, strict=True):
                     assert sorted(row) == sorted(set(row))
-                    assert {levels[d + 1][k] for k in row} == deletions(tau)
+                    assert {tuple(levels[d + 1][k]) for k in row} == brute_deletions(
+                        tuple(tau)
+                    )
 
     def test_stops_at_length(self):
         levels, edges = deletion_levels(parse("2413"), 3)
-        assert levels[0] == [parse("2413")]
-        assert set(levels[1]) == {parse(s) for s in ("132", "213", "231", "312")}
+        assert [tuple(t) for t in levels[0]] == [parse("2413")]
+        assert {tuple(t) for t in levels[1]} == {
+            parse(s) for s in ("132", "213", "231", "312")
+        }
         assert len(levels) == 2 and len(edges) == 1
-        assert deletion_levels(parse("2413"), 4) == ([[parse("2413")]], [])
+        levels, edges = deletion_levels(parse("2413"), 4)
+        assert ([[tuple(t) for t in level] for level in levels], edges) == (
+            [[parse("2413")]],
+            [],
+        )
+
+    def test_deletions_match_brute_exhaustive(self):
+        for pi in perms_up_to(7):
+            assert deletions(pi) == brute_deletions(pi), pi
+
+    @given(any_length_perm)
+    @settings(max_examples=60, deadline=None)
+    @example(tuple(range(permcore.MAX_LEN, 0, -1)))
+    def test_deletions_match_brute_up_to_max_len(self, pi):
+        # a length-64 pi deletes value 64 through the top translate table
+        assert deletions(pi) == brute_deletions(pi)
 
     def test_cap_counts_every_level(self, monkeypatch):
         from permobius import BudgetError
