@@ -3,8 +3,6 @@ certificates, census sweeps and structural verification."""
 
 from .permcore import (
     BudgetError,
-    Embedding,
-    IntervalCopy,
     Perm,
     PermError,
     SYMMETRY_LABELS,
@@ -14,19 +12,15 @@ from .permcore import (
     contains,
     direct_sum,
     down_set,
-    embeddings,
     find_sum_split_interval,
     fmt,
     has_opposing_adjacencies,
-    inflate,
     inflate_at,
-    interval_copies,
     intervals,
     is_simple,
     parse,
     pattern_of,
     perm,
-    skew_sum,
     symmetric_images,
     symmetry_orbit,
 )

@@ -6,6 +6,7 @@ failure.  Errors go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from typing import Optional, Sequence
 
@@ -113,18 +114,18 @@ def _dispatch(args: argparse.Namespace) -> int:
                 print(fmt(tau))
         return EXIT_OK
     if args.command == "census":
-        audit_fh = open(args.audit, "w") if args.audit else None
-        try:
-            row = zero_density(
-                args.n,
-                workers=args.workers,
-                long_run=args.long_run,
-                audit_file=audit_fh,
-                checkpoint=args.checkpoint,
-            )
-        finally:
-            if audit_fh:
-                audit_fh.close()
+        # the file is opened after the run, so a refused run leaves it as it was
+        audit = io.StringIO() if args.audit else None
+        row = zero_density(
+            args.n,
+            workers=args.workers,
+            long_run=args.long_run,
+            audit_file=audit,
+            checkpoint=args.checkpoint,
+        )
+        if audit is not None:
+            with open(args.audit, "w") as fh:
+                fh.write(audit.getvalue())
         sys.stdout.write(emit_table([row], format=args.format))
         return EXIT_OK
     if args.command == "verify":

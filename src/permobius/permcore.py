@@ -4,12 +4,11 @@ A permutation is a tuple of the integers 1..n ("one-line" notation), e.g.
 ``(3, 1, 2)``; the empty tuple is the empty permutation.  All functions are
 pure, and values are immutable and safe to share across workers.  Every
 interval (contiguous positions and values) comes from the one ``intervals``
-scan, which interval copies, sum splits and simplicity filter.
+scan, which sum splits and simplicity filter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Perm = tuple[int, ...]
 
@@ -37,7 +36,7 @@ def perm(values: Iterable[int]) -> Perm:
     (3, 1, 2)
     """
     vals = tuple(values)
-    if not all(isinstance(v, int) for v in vals):
+    if not all(type(v) is int for v in vals):
         raise PermError(f"not a permutation of integers: {vals!r}")
     n = len(vals)
     if n > MAX_LEN:
@@ -86,84 +85,9 @@ def pattern_of(seq: Sequence[float]) -> Perm:
     return tuple(ranks[v] for v in seq)
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """An embedding of a pattern into ``target``, identified by its image.
-
-    The image is a strictly increasing tuple of 1-based positions of the
-    target; it determines the source pattern uniquely.
-    """
-
-    target: Perm
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        img = self.image
-        if not img:
-            raise PermError("embedding image must be nonempty")
-        n = len(self.target)
-        if any(not 1 <= p <= n for p in img):
-            raise PermError(f"image {img!r} out of range for target of length {n}")
-        if any(img[k] >= img[k + 1] for k in range(len(img) - 1)):
-            raise PermError(f"image {img!r} is not strictly increasing")
-
-    @property
-    def source(self) -> Perm:
-        return pattern_of(tuple(self.target[p - 1] for p in self.image))
-
-    @property
-    def is_even(self) -> bool:
-        return len(self.image) % 2 == 0
-
-
-def _search(
-    sigma: Perm, pi: Perm, found: Callable[[list[int]], Optional[bool]]
-) -> bool:
-    """Backtrack over the images of sigma in pi, lexicographically.
-
-    Calls ``found`` with the 1-based positions of each full image (a list
-    reused between calls) and stops, returning True, at the first call that
-    returns a true value; returns False if none does.  Requires
-    1 <= |sigma| <= |pi|.
-    """
-    k, n = len(sigma), len(pi)
-    chosen = [0] * k
-
-    def extend(t: int, start: int) -> Optional[bool]:
-        if t == k:
-            return found(chosen)
-        s = sigma[t]
-        for p in range(start, n - (k - t) + 2):
-            v = pi[p - 1]
-            ok = True
-            for u in range(t):
-                if (s < sigma[u]) != (v < pi[chosen[u] - 1]):
-                    ok = False
-                    break
-            if ok:
-                chosen[t] = p
-                if extend(t + 1, p + 1):
-                    return True
-        return False
-
-    return extend(0, 1)  # never a leaf, since |sigma| >= 1
-
-
-def embeddings(sigma: Perm, pi: Perm) -> list[Embedding]:
-    """All embeddings of sigma into pi, ordered lexicographically by image.
-
-    Paper (arXiv:1810.05449): the proof of Theorem 1 cancels these by parity.
-    """
-    if not sigma:
-        raise PermError("embeddings of the empty permutation are not defined")
-    out: list[Embedding] = []
-    if len(sigma) <= len(pi):
-        _search(sigma, pi, lambda image: out.append(Embedding(pi, tuple(image))))
-    return out
-
-
 def contains(sigma: Perm, pi: Perm) -> bool:
-    """True iff sigma <= pi; stops at the first witness subsequence."""
+    """True iff sigma <= pi: a left-to-right backtracking search for a
+    subsequence of pi order-isomorphic to sigma, stopping at the first."""
     k, n = len(sigma), len(pi)
     if k == 0:
         return True
@@ -171,7 +95,24 @@ def contains(sigma: Perm, pi: Perm) -> bool:
         return False
     if sigma == pi:
         return True
-    return _search(sigma, pi, lambda image: True)
+    chosen = [0] * k
+
+    def extend(t: int, start: int) -> bool:
+        if t == k:
+            return True
+        s = sigma[t]
+        for p in range(start, n - k + t + 1):
+            v = pi[p]
+            for u in range(t):
+                if (s < sigma[u]) != (v < chosen[u]):
+                    break
+            else:
+                chosen[t] = v
+                if extend(t + 1, p + 1):
+                    return True
+        return False
+
+    return extend(0, 0)
 
 
 #: Deleting value v from a permutation held as ``bytes``: drop the byte
@@ -247,38 +188,15 @@ def direct_sum(alpha: Perm, beta: Perm) -> Perm:
     return alpha + tuple(v + len(alpha) for v in beta)
 
 
-def skew_sum(alpha: Perm, beta: Perm) -> Perm:
-    if len(alpha) + len(beta) > MAX_LEN:
-        raise PermError("skew sum exceeds length cap")
-    return tuple(v + len(beta) for v in alpha) + beta
-
-
-def inflate(sigma: Perm, parts: Sequence[Perm]) -> Perm:
-    """Inflate each point of sigma by the corresponding part.
-
-    A part equal to the empty permutation deletes the point; the relative
-    order of blocks follows sigma.  Not all parts may be empty.
-    """
-    n = len(sigma)
-    if len(parts) != n:
-        raise PermError(f"expected {n} parts, got {len(parts)}")
-    if all(len(p) == 0 for p in parts):
-        raise PermError("at least one part must be nonempty")
-    start = {}
-    base = 0
-    for i in sorted(range(n), key=lambda i: sigma[i]):
-        start[i] = base
-        base += len(parts[i])
-    out: list[int] = []
-    for i in range(n):
-        out.extend(start[i] + v for v in parts[i])
-    if len(out) > MAX_LEN:
-        raise PermError("inflation exceeds length cap")
-    return tuple(out)
-
-
 def inflate_at(sigma: Perm, positions: Sequence[int], parts: Sequence[Perm]) -> Perm:
-    """Inflate the given 1-based positions by parts, all others by the singleton."""
+    """Inflate the given 1-based positions of sigma by parts, all others by
+    the singleton; blocks keep sigma's order, and an empty part deletes its
+    point, but not every part may be empty.  The paper's example inflates
+    3624715 at positions 2 and 5 by 12 and 21:
+
+    >>> fmt(inflate_at(parse("3624715"), [2, 5], [(1, 2), (2, 1)]))
+    '367249815'
+    """
     n = len(sigma)
     if len(positions) != len(parts):
         raise PermError("positions and parts must have equal length")
@@ -289,7 +207,16 @@ def inflate_at(sigma: Perm, positions: Sequence[int], parts: Sequence[Perm]) -> 
         if not 1 <= pos <= n:
             raise PermError(f"position {pos} out of range 1..{n}")
         full[pos - 1] = tuple(part)
-    return inflate(sigma, full)
+    if not any(full):
+        raise PermError("at least one part must be nonempty")
+    start = [0] * n
+    base = 0
+    for i in sorted(range(n), key=lambda i: sigma[i]):
+        start[i] = base
+        base += len(full[i])
+    if base > MAX_LEN:
+        raise PermError("inflation exceeds length cap")
+    return tuple([start[i] + v for i in range(n) for v in full[i]])
 
 
 def adjacencies(pi: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -302,16 +229,6 @@ def adjacencies(pi: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def has_opposing_adjacencies(pi: Perm) -> bool:
     ups, downs = adjacencies(pi)
     return bool(ups) and bool(downs)
-
-
-@dataclass(frozen=True)
-class IntervalCopy:
-    """A window [start, end] (1-based, inclusive) of a host whose values are a
-    contiguous range and whose pattern equals ``pattern``."""
-
-    start: int
-    end: int
-    pattern: Perm
 
 
 def intervals(pi: Perm) -> Iterator[tuple[int, int, int]]:
@@ -336,18 +253,6 @@ def intervals(pi: Perm) -> Iterator[tuple[int, int, int]]:
                 high = v
             if high - low == e - s:
                 yield s + 1, e + 1, low
-
-
-def interval_copies(pi: Perm, alpha: Perm) -> list[IntervalCopy]:
-    """All interval copies of alpha in pi, in order of start position."""
-    if not alpha:
-        raise PermError("interval copies of the empty permutation are not defined")
-    return [
-        IntervalCopy(s, e, alpha)
-        for s, e, low in intervals(pi)
-        if e - s + 1 == len(alpha)
-        and tuple([v - low + 1 for v in pi[s - 1 : e]]) == alpha
-    ]
 
 
 def find_sum_split_interval(pi: Perm) -> Optional[tuple[int, int, int]]:

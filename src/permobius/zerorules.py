@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Container, Optional, Union
 
 from .permcore import (
     Perm,
@@ -27,7 +27,6 @@ from .permcore import (
     down_set,
     find_sum_split_interval,
     fmt,
-    interval_copies,
     intervals,
     pattern_of,
     symmetric_images,
@@ -116,11 +115,13 @@ ZeroCertificate = Union[
 ]
 
 
-def _interval_windows(pi: Perm) -> dict[Perm, list[tuple[int, int]]]:
-    """The interval windows of pi with a length in _WINDOW_LENGTHS, by pattern."""
+def _interval_windows(
+    pi: Perm, lengths: Container[int] = _WINDOW_LENGTHS
+) -> dict[Perm, list[tuple[int, int]]]:
+    """The interval windows of pi with a length in ``lengths``, by pattern."""
     out: dict[Perm, list[tuple[int, int]]] = {}
     for s, e, low in intervals(pi):
-        if e - s + 1 in _WINDOW_LENGTHS:
+        if e - s + 1 in lengths:
             pattern = tuple([v - low + 1 for v in pi[s - 1 : e]])
             out.setdefault(pattern, []).append((s, e))
     return out
@@ -227,13 +228,12 @@ def sigma_sum_rule(sigma: Perm, alpha: Perm, beta: Perm, pi: Perm) -> bool:
     if not sigma or not alpha or not beta:
         raise PermError("sigma, alpha and beta must be nonempty")
     phi = direct_sum(alpha, direct_sum((1,), beta))
-    if not interval_copies(pi, phi):
+    if phi not in _interval_windows(pi, (len(phi),)):
         return False
-    for ap in down_set(alpha):
-        for bp in down_set(beta):
-            if interval_copies(sigma, direct_sum(ap, bp)):
-                return False
-    return True
+    windows = _interval_windows(sigma, range(2, len(alpha) + len(beta) + 1))
+    return not any(
+        direct_sum(ap, bp) in windows for ap in down_set(alpha) for bp in down_set(beta)
+    )
 
 
 _RULE_TAGS = {

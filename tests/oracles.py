@@ -6,6 +6,9 @@ single deletions by relabelling a tuple,
 symmetries by moving the points of the plot one letter at a time,
 intervals by comparing each window's value set with a range, and Mobius
 values by the definitional recursion over exact (non-canonicalized) keys.
+``embeddings`` tries every set of positions, ``interval_copies`` filters
+``brute_intervals`` by pattern, and ``skew_sum`` and ``inflate`` (of every
+point at once) are constructions that only the tests use.
 ``recursive_principal_mobius`` keeps the library's earlier principal
 evaluator as a second, independent engine, and ``brute_sum_split`` the
 earlier sum-split search.  ``brute_eq_cancel`` checks the parity
@@ -20,16 +23,77 @@ classes of S_n; both read adjacencies off the plot as neighbouring points
 whose values differ by 1.
 """
 import itertools
+from dataclasses import dataclass
 
 from permobius.mobius import FinitePosetView, MobiusCache, principal_mobius
 from permobius.permcore import (
     SYMMETRY_LABELS,
-    Embedding,
     PermError,
     down_set,
+    inflate_at,
     pattern_of,
 )
 from permobius.zerorules import certify_zero
+
+
+@dataclass(frozen=True)
+class Embedding:
+    """An embedding of a pattern into ``target``, identified by its image.
+
+    The image is a strictly increasing tuple of 1-based positions of the
+    target; it determines the source pattern uniquely.
+    """
+
+    target: tuple
+    image: tuple
+
+    def __post_init__(self):
+        img = self.image
+        if not img:
+            raise PermError("embedding image must be nonempty")
+        n = len(self.target)
+        if any(not 1 <= p <= n for p in img):
+            raise PermError(f"image {img!r} out of range for target of length {n}")
+        if any(img[k] >= img[k + 1] for k in range(len(img) - 1)):
+            raise PermError(f"image {img!r} is not strictly increasing")
+
+    @property
+    def source(self):
+        return pattern_of(tuple(self.target[p - 1] for p in self.image))
+
+    @property
+    def is_even(self):
+        return len(self.image) % 2 == 0
+
+
+def embeddings(sigma, pi):
+    """All embeddings of sigma into pi, ordered lexicographically by image:
+    every set of |sigma| positions of pi whose values form sigma.  The proof
+    of Theorem 1 (arXiv:1810.05449) cancels these by parity."""
+    if not sigma:
+        raise PermError("embeddings of the empty permutation are not defined")
+    return [
+        Embedding(pi, tuple(p + 1 for p in image))
+        for image in itertools.combinations(range(len(pi)), len(sigma))
+        if pattern_of([pi[p] for p in image]) == sigma
+    ]
+
+
+def skew_sum(alpha, beta):
+    """alpha above and to the left of beta."""
+    return tuple(v + len(beta) for v in alpha) + tuple(beta)
+
+
+def inflate(sigma, parts):
+    """Inflate every point of sigma by its part; an empty part deletes it."""
+    return inflate_at(sigma, range(1, len(sigma) + 1), parts)
+
+
+def interval_copies(pi, alpha):
+    """The windows (start, end) of brute_intervals(pi) whose pattern is alpha."""
+    return [
+        (s, e) for s, e, _ in brute_intervals(pi) if pattern_of(pi[s - 1 : e]) == alpha
+    ]
 
 
 def brute_contains(sigma, pi):

@@ -110,6 +110,15 @@ class TestCensus:
         assert code == EXIT_DOMAIN
         assert "error:" in err
 
+    @pytest.mark.parametrize("n", ["10", "0"], ids=["desk-cap", "n-zero"])
+    def test_refused_run_keeps_audit_file(self, capsys, tmp_path, n):
+        audit = tmp_path / "a.tsv"
+        audit.write_text("kept\n")
+        code, out, err = run(capsys, "census", "--n", n, "--audit", str(audit))
+        assert code == EXIT_DOMAIN
+        assert out == "" and err.startswith("error:")
+        assert audit.read_text() == "kept\n"
+
     def test_level_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", 64)
         code, out, err = run(capsys, "census", "--n", "6")

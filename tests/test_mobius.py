@@ -26,8 +26,9 @@ from permobius import (
 from permobius.census import LevelTables
 from permobius.mobius import _enter, _value, _walk
 from permobius import permcore
-from permobius.permcore import Embedding, down_set
+from permobius.permcore import down_set
 from oracles import (
+    Embedding,
     brute_contains,
     brute_down_set,
     brute_interval,

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permobius import (
-    Embedding,
     PermError,
     SYMMETRY_LABELS,
     adjacencies,
@@ -15,24 +14,22 @@ from permobius import (
     contains,
     direct_sum,
     down_set,
-    embeddings,
     find_sum_split_interval,
     fmt,
-    inflate,
     inflate_at,
-    interval_copies,
     interval_mobius,
     intervals,
     is_simple,
     parse,
     pattern_of,
     perm,
-    skew_sum,
     symmetry_orbit,
 )
 from permobius import permcore
 from permobius.permcore import deletion_levels, deletions
+from permobius.zerorules import _interval_windows
 from oracles import (
+    Embedding,
     brute_contains,
     brute_deletions,
     brute_down_set,
@@ -40,6 +37,10 @@ from oracles import (
     brute_mobius,
     brute_sum_split,
     brute_symmetry,
+    embeddings,
+    inflate,
+    interval_copies,
+    skew_sum,
 )
 
 perms_up_to = lambda n: (
@@ -76,9 +77,11 @@ class TestParse:
             parse("2 2 3")
 
     def test_not_integers(self):
-        # floats are refused, not truncated to (2, 1)
-        with pytest.raises(PermError):
-            perm([2.7, 1.2])
+        # floats are refused, not truncated to (2, 1), and bools, though
+        # True == 1, since (True, 2) would format as "True2"
+        for values in ([2.7, 1.2], [True, 2]):
+            with pytest.raises(PermError):
+                perm(values)
 
     def test_over_cap(self):
         with pytest.raises(PermError):
@@ -153,7 +156,7 @@ class TestContains:
         assert contains((), parse("1"))
 
     def test_three_path_agreement_exhaustive(self):
-        # contains == (count of embeddings >= 1) == down-set membership
+        # contains == (count of brute-force embeddings >= 1) == down-set membership
         for pi in perms_up_to(5):
             ds = down_set(pi)
             for k in range(1, len(pi) + 1):
@@ -363,6 +366,8 @@ class TestInflate:
             inflate_at(parse("12"), [1, 1], [(1,), (1,)])
         with pytest.raises(PermError):
             inflate_at(parse("12"), [3], [(1,)])
+        with pytest.raises(PermError, match="at least one part must be nonempty"):
+            inflate_at((1,), [1], [()])
 
     @given(small_perm, small_perm, st.data())
     @settings(max_examples=60, deadline=None)
@@ -370,9 +375,7 @@ class TestInflate:
         i = data.draw(st.integers(1, len(tau)))
         host = inflate_at(tau, [i], [alpha])
         assert contains(tau, host)
-        assert any(
-            c.pattern == alpha for c in interval_copies(host, alpha)
-        )
+        assert interval_copies(host, alpha)
 
 
 class TestAdjacencies:
@@ -384,32 +387,18 @@ class TestAdjacencies:
 
 class TestIntervalCopies:
     def test_examples(self):
-        assert any(
-            (c.start, c.end) == (2, 3)
-            for c in interval_copies(parse("367249815"), parse("12"))
-        )
-        assert any(
-            (c.start, c.end) == (1, 3)
-            for c in interval_copies(parse("32417685"), parse("213"))
-        )
+        assert (2, 3) in interval_copies(parse("367249815"), parse("12"))
+        assert (1, 3) in interval_copies(parse("32417685"), parse("213"))
         pi = parse("2413")
-        assert [(c.start, c.end) for c in interval_copies(pi, pi)] == [(1, 4)]
+        assert interval_copies(pi, pi) == [(1, 4)]
 
     def test_windows_verify_definition(self):
+        # the zero rules' window map against the brute intervals, by pattern
         for pi in perms_up_to(5):
-            found = brute_intervals(pi)
-            for k in range(1, len(pi) + 1):
-                for alpha in itertools.permutations(range(1, k + 1)):
-                    copies = interval_copies(pi, alpha)
-                    for c in copies:
-                        vals = pi[c.start - 1 : c.end]
-                        assert max(vals) - min(vals) == len(vals) - 1
-                        assert pattern_of(vals) == alpha
-                    assert [(c.start, c.end) for c in copies] == [
-                        (s, e)
-                        for s, e, _ in found
-                        if pattern_of(pi[s - 1 : e]) == alpha
-                    ]
+            want = {}
+            for s, e, _ in brute_intervals(pi):
+                want.setdefault(pattern_of(pi[s - 1 : e]), []).append((s, e))
+            assert _interval_windows(pi, range(1, len(pi) + 1)) == want, pi
 
 
 class TestIntervals:
@@ -439,14 +428,14 @@ class TestSumSplit:
         # witness exists iff some a+1+b occurs as an interval copy
         for pi in perms_up_to(6):
             n = len(pi)
-            brute = False
-            for la in range(1, n):
-                for lb in range(1, n - la):
-                    for alpha in itertools.permutations(range(1, la + 1)):
-                        for beta in itertools.permutations(range(1, lb + 1)):
-                            phi = direct_sum(alpha, direct_sum((1,), beta))
-                            if interval_copies(pi, phi):
-                                brute = True
+            windows = {pattern_of(pi[s - 1 : e]) for s, e, _ in brute_intervals(pi)}
+            brute = any(
+                direct_sum(alpha, direct_sum((1,), beta)) in windows
+                for la in range(1, n)
+                for lb in range(1, n - la)
+                for alpha in itertools.permutations(range(1, la + 1))
+                for beta in itertools.permutations(range(1, lb + 1))
+            )
             assert (find_sum_split_interval(pi) is not None) == brute
 
 

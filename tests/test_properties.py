@@ -20,9 +20,8 @@ from permobius import (
     pattern_of,
     principal_mobius,
     permcore,
-    skew_sum,
 )
-from oracles import brute_mobius, brute_sum_split, brute_symmetry
+from oracles import brute_mobius, brute_sum_split, brute_symmetry, skew_sum
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 

@@ -2,9 +2,10 @@
 and every private module-level name is read somewhere in the package.
 
 No linter runs on this package, so this stands in for pyflakes' F401: each
-``src/permobius/*.py`` other than ``__init__.py`` (which re-exports) is
-parsed, and an imported name that no expression in the module reads fails
-the test unless its import statement carries ``# noqa: F401``.  A private
+``src/permobius/*.py`` other than ``__init__.py`` (which re-exports), and
+each ``tests/*.py``, is parsed, and an imported name that no expression in
+the module reads fails the test unless its import statement carries
+``# noqa: F401``.  A private
 function, class or assignment at module level (``_name``, not a dunder)
 fails when no module of the package reads it, imports it or takes it as an
 attribute.
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "permobius"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "permobius"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +39,11 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

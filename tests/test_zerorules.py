@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -14,13 +15,15 @@ from permobius import (
     certify_zero,
     describe_certificate,
     direct_sum,
+    down_set,
     inflate_at,
+    mobius,
     parse,
     principal_mobius,
     sigma_sum_rule,
     verify_certificate,
 )
-from oracles import brute_mobius
+from oracles import brute_down_set, brute_mobius, interval_copies
 
 perms_of = lambda n: itertools.permutations(range(1, n + 1))
 
@@ -183,6 +186,28 @@ class TestSigmaSumRule:
         alpha = beta = (1,)
         pi = parse("45123")
         assert isinstance(sigma_sum_rule(sigma, alpha, beta, pi), bool)
+
+    def test_pinned_exhaustively_to_length_6(self):
+        # the rule against its statement over brute windows, for every
+        # sigma < pi with |pi| <= 6 and alpha, beta in {1, 12, 21}
+        copies = functools.cache(interval_copies)
+        small = [parse(s) for s in ("1", "12", "21")]
+        cases = [
+            (a, b, direct_sum(a, direct_sum((1,), b)), [
+                direct_sum(a2, b2) for a2 in brute_down_set(a) for b2 in brute_down_set(b)
+            ])
+            for a, b in itertools.product(small, small)
+        ]
+        fired = set()
+        for pi in itertools.chain.from_iterable(map(perms_of, range(1, 7))):
+            for sigma in down_set(pi) - {pi}:
+                for a, b, phi, probes in cases:
+                    want = bool(copies(pi, phi)) and not any(copies(sigma, q) for q in probes)
+                    assert sigma_sum_rule(sigma, a, b, pi) == want
+                    if want:
+                        fired.add((sigma, pi))
+        assert len(fired) == 493
+        assert all(mobius(sigma, pi) == 0 for sigma, pi in fired)
 
 
 class TestDescriptions:
