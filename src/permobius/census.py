@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
+from . import permcore
 from .permcore import (
     BudgetError,
     Perm,
@@ -59,11 +60,6 @@ from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, certify_zero
 
 #: Default cap for the density sweep; longer runs need an explicit opt-in.
 DENSITY_DESK_CAP = 9
-
-#: Bytes the level tables (both levels' keys and entries, and the two dicts)
-#: may take before the build gives up with BudgetError; n = 10 needs
-#: 146 MiB, n = 11 would need gigabytes of closures alone.
-LEVEL_BUDGET_BYTES = 1 << 28
 
 #: Version 5 keys chunks by their two-entry prefix and stores the adjacency
 #: class counts of each; older checkpoints do not resume.
@@ -163,7 +159,7 @@ class LevelTables:
     numbered permutations as signed bit planes: ``classes[s * 2**j]`` is the
     bitset of those whose value has sign s and bit j set in its magnitude
     (``mobius._enter``).  Raises BudgetError once both levels'
-    keys and entries and the two dicts pass ``LEVEL_BUDGET_BYTES``; a
+    keys and entries and the two dicts pass ``permcore.BUDGET_BYTES``; a
     dict's growth within a level is counted when the level ends.
 
     Through ``get``/``put`` the tables are a full principal cache: lengths
@@ -181,7 +177,7 @@ class LevelTables:
         self.memo = MobiusCache()
         closures, top, classes = self.closures, self.top, self.classes
         getsizeof = sys.getsizeof
-        bit, size = 1, 0
+        bit, size, budget = 1, 0, permcore.BUDGET_BYTES
         for k in range(1, n):
             # a dict's own size changes only when it resizes: count the two
             # as they were when the level began, and exactly once it is done
@@ -202,12 +198,10 @@ class LevelTables:
                         bit <<= 1
                     closures[tau] = closure
                     size += getsizeof(tau) + getsizeof(closure)
-                if size + dicts > LEVEL_BUDGET_BYTES:
+                if size + dicts > budget:
                     break
-            if size + getsizeof(closures) + getsizeof(top) > LEVEL_BUDGET_BYTES:
-                raise BudgetError(
-                    f"level tables for n={n} exceed {LEVEL_BUDGET_BYTES} bytes"
-                )
+            if size + getsizeof(closures) + getsizeof(top) > budget:
+                raise BudgetError(f"level tables for n={n} exceed {budget} bytes")
 
     def _value(self, kids: Sequence[int], singles: int = 0) -> int:
         # mu(1, .) of a permutation whose numbered strict down-set is the OR
@@ -410,7 +404,7 @@ def zero_density(
     only orbit candidates and evaluates the least member of each symmetry
     orbit, weighted by the orbit's size.  ``long_run`` must be set for n
     above the desk cap.  Raises BudgetError when the level tables would
-    pass ``LEVEL_BUDGET_BYTES``, and AssertionError when the scan's
+    pass ``permcore.BUDGET_BYTES``, and AssertionError when the scan's
     adjacency-free and opposing-adjacency counts are not the recurrences'
     b_n and s_n.
     """

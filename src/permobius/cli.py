@@ -1,7 +1,7 @@
 """Command-line surface: evaluation, certification, census and verification.
 
-Exit codes: 0 success, 1 domain error, 2 budget exhaustion, 3 verification
-failure.  Errors go to stderr, data to stdout.
+Exit codes: 0 success, 1 domain or file error, 2 budget exhaustion, 3
+verification failure.  Errors go to stderr, data to stdout.
 """
 from __future__ import annotations
 
@@ -84,7 +84,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except PermError as exc:
+    except (PermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -28,6 +28,7 @@ from .permcore import (
     contains,
     deletion_levels,
     deletions,
+    _over_budget,
 )
 
 # Unused here, but bench/tracing.py patches these names on this module to
@@ -94,24 +95,24 @@ def _walk(sigma: Perm, pi: Perm) -> Iterator[tuple[Perm, int, int]]:
     closure of pi down to length |sigma| comes from ``deletion_levels``;
     closures then flow bottom-up with only two adjacent levels alive.  Since
     sigma has value 1, tau lies in the interval exactly when the OR of its
-    children's closures is nonzero.  Raises BudgetError once the deletion
-    closure passes ``DOWN_SET_CAP`` elements.
+    children's closures is nonzero.  Raises BudgetError once the closures
+    of the two levels held pass what the deletion closure left of the budget.
     """
-    levels, edges = deletion_levels(pi, len(sigma))
+    levels, edges, left = deletion_levels(pi, len(sigma))
     bottom = levels.pop()
     try:
         start = bottom.index(bytes(sigma))
     except ValueError:
         return
-    # closed[k]: closure of element k of the level below, 0 outside the interval
-    closed = [0] * len(bottom)
+    # closed[k]: closure of element k of the level below (0 outside), held: their bytes
+    closed, held = [0] * len(bottom), 0
     closed[start] = 1
     classes = {1: 1}
     yield sigma, 1, 1
     bit = 2
     while levels:
         level, rows = levels.pop(), edges.pop()
-        above = []
+        above, made = [], 0
         for tau, row in zip(level, rows):
             below = 0
             for k in row:
@@ -122,9 +123,12 @@ def _walk(sigma: Perm, pi: Perm) -> Iterator[tuple[Perm, int, int]]:
                     _enter(classes, value, bit)
                     below |= bit
                     bit <<= 1
+                made += below.__sizeof__()  # getsizeof(below) at a tenth the cost
+                if held + made > left:
+                    _over_budget(pi, len(sigma))
                 yield tuple(tau), below, value
             above.append(below)
-        closed = above
+        closed, held = above, made
 
 
 def interval_mobius(sigma: Perm, pi: Perm) -> dict[Perm, int]:

@@ -8,7 +8,8 @@ scan, which sum splits and simplicity filter.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from sys import getsizeof
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 Perm = tuple[int, ...]
 
@@ -17,8 +18,11 @@ EMPTY: Perm = ()
 #: Hard cap on permutation length; constructors reject longer inputs.
 MAX_LEN = 64
 
-#: Elements a deletion closure may hold; read by each ``deletion_levels`` call.
-DOWN_SET_CAP = 50_000_000
+#: Bytes, as ``sys.getsizeof`` counts them, that one interval walk or one
+#: level-table build may hold.  pi_22's walk counts 63 MiB and LevelTables(10)
+#: 146 MiB; a random pi of length 30 trips at 1.6M elements and 350 MiB of
+#: RSS, far below the 8 GiB of the 2-core machine this was sized on.
+BUDGET_BYTES = 1 << 28
 
 
 class PermError(ValueError):
@@ -134,21 +138,24 @@ def deletions(pi: Perm) -> set[Perm]:
 
 def deletion_levels(
     pi: Perm, length: int
-) -> tuple[list[list[bytes]], list[list[tuple[int, ...]]]]:
-    """The patterns of pi of every length from |pi| down to ``length``.
+) -> tuple[list[list[bytes]], list[list[tuple[int, ...]]], int]:
+    """The patterns of pi of every length from |pi| down to ``length``, and
+    the bytes of ``BUDGET_BYTES`` they leave.
 
     Built top-down by single-point deletion, one level per length:
     ``levels[d]`` lists the distinct patterns of length |pi| - d, each as
     the ``bytes`` of its one-line notation (``tuple`` gives the Perm), and
     ``edges[d][j]`` holds the indices into ``levels[d + 1]`` of the single
-    deletions of ``levels[d][j]``.  Raises BudgetError once the levels
-    together pass ``DOWN_SET_CAP`` elements, read when the call starts.
+    deletions of ``levels[d][j]``.  Bytes are counted as ``sys.getsizeof``
+    sees them: each pattern's ``bytes`` and int index and each edge row as
+    they are made, then each level's list and index dict.  Raises
+    BudgetError once they pass the budget, read when the call starts.
     """
-    cap = DOWN_SET_CAP
+    left, header, item = BUDGET_BYTES, getsizeof(()), tuple.__itemsize__
     levels: list[list[bytes]] = [[bytes(pi)]]
     edges: list[list[tuple[int, ...]]] = []
-    count = 1
-    for _ in range(len(pi) - length):
+    for n in range(len(pi) - 1, length - 1, -1):
+        unit = getsizeof(bytes(n)) + getsizeof(n)  # a pattern and its int index
         index: dict[bytes, int] = {}
         rows = []
         for tau in levels[-1]:
@@ -156,30 +163,35 @@ def deletion_levels(
             for child in _deletions(tau):
                 k = index.get(child)
                 if k is None:
-                    count += 1
-                    if count > cap:
-                        raise BudgetError(
-                            f"deletion closure of {fmt(pi)} down to length "
-                            f"{length} exceeds cap of {cap} elements"
-                        )
+                    left -= unit
+                    if left < 0:
+                        _over_budget(pi, length)
                     k = index[child] = len(index)
                 row.append(k)
             rows.append(tuple(row))
+            left -= header + item * len(row)
         levels.append(list(index))
         edges.append(rows)
-    return levels, edges
+        left -= getsizeof(levels[-1]) + getsizeof(index) + getsizeof(rows)
+        if left < 0:
+            _over_budget(pi, length)
+    return levels, edges, left
+
+
+def _over_budget(pi: Perm, length: int) -> NoReturn:
+    closure = f"deletion closure of {fmt(pi)} down to length {length}"
+    raise BudgetError(f"{closure} exceeds {BUDGET_BYTES} bytes")
 
 
 def down_set(pi: Perm) -> set[Perm]:
     """All nonempty patterns contained in pi (the interval [1, pi] as a set).
 
-    The union of ``deletion_levels(pi, 1)``; raises BudgetError when the set
-    would exceed ``DOWN_SET_CAP`` elements.
+    The union of ``deletion_levels(pi, 1)``; raises BudgetError when those
+    levels would pass ``BUDGET_BYTES``.
     """
     if not pi:
         raise PermError("down_set of the empty permutation is not defined")
-    levels, _ = deletion_levels(pi, 1)
-    return {tuple(tau) for level in levels for tau in level}
+    return {tuple(tau) for level in deletion_levels(pi, 1)[0] for tau in level}
 
 
 def direct_sum(alpha: Perm, beta: Perm) -> Perm:

@@ -1,11 +1,13 @@
 """Acceptance gate: one test per criterion, one printed PASS line each.
 
 Criterion 8 (the length-22 evaluation) is a stretch goal, not gating; it
-runs only when PERMOBIUS_STRETCH=1 is set.
+runs only when PERMOBIUS_STRETCH=1 is set, as does the check that the
+default memory budget refuses a random pi of length 30.
 """
 import itertools
 import math
 import os
+import random
 import time
 
 import pytest
@@ -22,6 +24,7 @@ from permobius import (
     zero_density,
 )
 from permobius.census import LevelTables, adjacency_counts
+from permobius.cli import EXIT_BUDGET, main
 
 EXPECTED_DENSITIES = {
     1: "0.0000",
@@ -151,3 +154,20 @@ def test_criterion_8_length_22_stretch():
     value = principal_mobius(pi, cache=MobiusCache())
     assert value == 1
     report(8, "mu(1, pi_22) = 1")
+
+
+@pytest.mark.skipif(
+    os.environ.get("PERMOBIUS_STRETCH") != "1",
+    reason=(
+        "stretch; set PERMOBIUS_STRETCH=1 to run "
+        "(about 6-10 s and 360 MiB peak RSS on a 2-core x86-64 machine)"
+    ),
+)
+def test_default_budget_trips_before_memory_runs_out(capsys):
+    # the deletion closure of a random pi of length 30 would need far more
+    # memory than the machine has; the default budget refuses it with exit 2
+    pi = random.Random(30).sample(range(1, 31), 30)
+    code = main(["pmu", " ".join(map(str, pi))])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_BUDGET, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -21,7 +21,7 @@ from permobius import (
     sweep,
     zero_density,
 )
-from permobius import census
+from permobius import census, permcore
 from permobius.census import (
     LevelTables,
     adjacency_free_recurrence,
@@ -238,7 +238,7 @@ class TestZeroDensity:
         assert sizes == [6]
 
     def test_level_budget(self, monkeypatch):
-        monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", 64)
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", 64)
         with pytest.raises(BudgetError):
             zero_density(6)
 
@@ -340,9 +340,9 @@ class TestLevelTables:
             for tau, entry in tables.top.items()
         )
         assert closures < full // 2
-        monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", full)
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", full)
         LevelTables(7)
-        monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", (closures + full) // 2)
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", (closures + full) // 2)
         with pytest.raises(BudgetError):
             LevelTables(7)
 
@@ -359,7 +359,7 @@ class TestLevelTables:
         finally:
             tracemalloc.stop()
         del tables
-        monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", int(0.95 * traced))
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", int(0.95 * traced))
         with pytest.raises(BudgetError):
             LevelTables(8)
 

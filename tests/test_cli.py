@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -66,21 +67,33 @@ class TestDownset:
 
 
 class TestDownSetBudget:
-    # the deletion closure of 2413 down to length 1, [1, 2413], has 8 elements
+    # the counted bytes of [1, 2413], the deletion closure of 2413 down to
+    # length 1; a walk of it also holds the closures of 12 and 21 and of
+    # 132, 213, 231 and 312 at once, each counted as one int
+    LEVELS = permcore.BUDGET_BYTES - permcore.deletion_levels((2, 4, 1, 3), 1)[2]
+    WALK = LEVELS + 6 * sys.getsizeof(1)
+
     @pytest.mark.parametrize(
         "argv", [("pmu", "2413"), ("mu", "1", "2413"), ("downset", "2413")]
     )
     def test_over_budget(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 7)
+        # one byte short: downset builds the levels only, mu and pmu walk them
+        budget = (self.LEVELS if argv[0] == "downset" else self.WALK) - 1
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", budget)
         code, out, err = run(capsys, *argv)
         assert code == EXIT_BUDGET
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err == (
+            f"error: deletion closure of 2413 down to length 1 exceeds {budget} bytes\n"
+        )
         assert out == ""
 
     def test_at_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 8)
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", self.WALK)
         code, out, _ = run(capsys, "pmu", "2413")
         assert (code, out.strip()) == (EXIT_OK, "-3")
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", self.LEVELS)
+        code, out, _ = run(capsys, "downset", "2413", "--count")
+        assert (code, out.strip()) == (EXIT_OK, "8")
 
 
 class TestCensus:
@@ -119,8 +132,16 @@ class TestCensus:
         assert out == "" and err.startswith("error:")
         assert audit.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("flag", ["--audit", "--checkpoint"])
+    def test_unwritable_file(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "f"
+        code, out, err = run(capsys, "census", "--n", "3", flag, str(path))
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
     def test_level_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(census, "LEVEL_BUDGET_BYTES", 64)
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", 64)
         code, out, err = run(capsys, "census", "--n", "6")
         assert code == EXIT_BUDGET
         assert err.startswith("error:") and out == ""

@@ -136,9 +136,35 @@ class TestPrincipal:
                 assert sum(principal_mobius(t) for t in down_set(pi)) == 0
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 2)
+        used = permcore.BUDGET_BYTES - permcore.deletion_levels(parse("2413"), 1)[2]
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", used - 1)
         with pytest.raises(BudgetError):
             principal_mobius(parse("2413"))
+
+    @pytest.mark.parametrize("mib", [2, 5])
+    def test_tripping_call_stays_near_its_budget(self, monkeypatch, mib):
+        # [1, pi] counts 3.6 MiB of levels and 7.0 MiB with the walk's
+        # closures, so 2 MiB trips while the levels are built and 5 MiB in
+        # the walk.  Either way the traced peak stays within 1/8 of the
+        # budget: on CPython 3.11.7 it was 0.93 and 0.79 of it here, and at
+        # most 1.04 over random pi of lengths 16-22 and budgets of 1-8 MiB
+        pi = tuple(random.Random(16).sample(range(1, 17), 16))
+        budget = mib << 20
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", budget)
+        if mib == 2:
+            with pytest.raises(BudgetError):
+                permcore.deletion_levels(pi, 1)
+        else:
+            permcore.deletion_levels(pi, 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                principal_mobius(pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * 9 / 8
 
     def test_wide_interval_memory(self):
         # the walk's bitsets number only the nonzero elements (291 of the

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -215,7 +216,8 @@ class TestDownSet:
     def test_budget(self, monkeypatch):
         from permobius import BudgetError
 
-        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 3)
+        used = permcore.BUDGET_BYTES - deletion_levels(parse("2413"), 1)[2]
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", used - 1)
         with pytest.raises(BudgetError):
             down_set(parse("2413"))
 
@@ -223,7 +225,7 @@ class TestDownSet:
 class TestDeletionLevels:
     def test_levels_and_edges_exhaustive(self):
         for pi in perms_up_to(6):
-            levels, edges = deletion_levels(pi, 1)
+            levels, edges, _ = deletion_levels(pi, 1)
             below = brute_down_set(pi)
             assert [{tuple(t) for t in level} for level in levels] == [
                 {t for t in below if len(t) == len(pi) - d} for d in range(len(pi))
@@ -237,13 +239,13 @@ class TestDeletionLevels:
                     )
 
     def test_stops_at_length(self):
-        levels, edges = deletion_levels(parse("2413"), 3)
+        levels, edges, _ = deletion_levels(parse("2413"), 3)
         assert [tuple(t) for t in levels[0]] == [parse("2413")]
         assert {tuple(t) for t in levels[1]} == {
             parse(s) for s in ("132", "213", "231", "312")
         }
         assert len(levels) == 2 and len(edges) == 1
-        levels, edges = deletion_levels(parse("2413"), 4)
+        levels, edges, _ = deletion_levels(parse("2413"), 4)
         assert ([[tuple(t) for t in level] for level in levels], edges) == (
             [[parse("2413")]],
             [],
@@ -263,10 +265,23 @@ class TestDeletionLevels:
     def test_cap_counts_every_level(self, monkeypatch):
         from permobius import BudgetError
 
-        # [1, 2413] has 8 elements
-        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 8)
+        # the count is the bytes and int index of every pattern below the
+        # top, every edge row, and each of those levels' list and index
+        # dict: at that many bytes the 8 elements of [1, 2413] fit, and one
+        # byte less trips
+        levels, edges, left = deletion_levels(parse("2413"), 1)
+        used = permcore.BUDGET_BYTES - left
+        getsizeof = sys.getsizeof
+        assert used == sum(
+            getsizeof(level)
+            + getsizeof({t: 0 for t in level})
+            + sum(getsizeof(t) + getsizeof(1) for t in level)
+            for level in levels[1:]
+        ) + sum(getsizeof(rows) + sum(map(getsizeof, rows)) for rows in edges)
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", used)
+        assert deletion_levels(parse("2413"), 1)[2] == 0
         assert sum(map(len, deletion_levels(parse("2413"), 1)[0])) == 8
-        monkeypatch.setattr(permcore, "DOWN_SET_CAP", 7)
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", used - 1)
         with pytest.raises(BudgetError):
             deletion_levels(parse("2413"), 1)
 

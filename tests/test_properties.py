@@ -15,7 +15,6 @@ from permobius import (
     certify_zero,
     direct_sum,
     has_opposing_adjacencies,
-    interval_mobius,
     mobius,
     pattern_of,
     principal_mobius,
@@ -101,12 +100,15 @@ def test_sum_split_certificate_matches_all_images(pi):
 @given(perms(min_size=3), st.data())
 def test_budget_nonprincipal(pi, data):
     # sigma is a proper pattern of pi other than 1, so [sigma, pi] has at
-    # least two elements and the cap below is positive
+    # least two elements: one byte short of the deletion closure trips in
+    # its build, and the closure's own count trips once the walk holds the
+    # closures of the interval's elements
     size = data.draw(st.integers(2, len(pi) - 1))
     positions = sorted(data.draw(st.permutations(range(len(pi))))[:size])
     sigma = pattern_of([pi[p] for p in positions])
-    cap = len(interval_mobius(sigma, pi)) - 1
-    # a function-scoped fixture is not reset between hypothesis examples
-    with mock.patch.object(permcore, "DOWN_SET_CAP", cap):
-        with pytest.raises(BudgetError):
-            mobius(sigma, pi)
+    used = permcore.BUDGET_BYTES - permcore.deletion_levels(pi, len(sigma))[2]
+    for budget in (used - 1, used):
+        # a function-scoped fixture is not reset between hypothesis examples
+        with mock.patch.object(permcore, "BUDGET_BYTES", budget):
+            with pytest.raises(BudgetError):
+                mobius(sigma, pi)

@@ -49,9 +49,9 @@ def test_no_unused_imports(path):
 
 
 def test_guard_catches_a_leftover_import():
-    source = "from .permcore import (\n    DOWN_SET_CAP,\n    Perm,\n)\n\nP: Perm = ()\n"
-    assert unused_imports(source) == ["line 1: DOWN_SET_CAP"]
-    kept = "from .permcore import DOWN_SET_CAP  # noqa: F401\n"
+    source = "from .permcore import (\n    BUDGET_BYTES,\n    Perm,\n)\n\nP: Perm = ()\n"
+    assert unused_imports(source) == ["line 1: BUDGET_BYTES"]
+    kept = "from .permcore import BUDGET_BYTES  # noqa: F401\n"
     assert unused_imports(kept) == []
 
 
