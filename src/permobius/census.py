@@ -1,22 +1,8 @@
 """Per-length census: zero densities, adjacency counts, simple-permutation stats.
 
-The density sweep for length n first builds level tables of mu(1, tau) for
-every tau shorter than n, bottom-up by length, each permutation once.  The
-nonzero-valued permutations of length <= n-2 are numbered in ascending
-length and lexicographic rank; each permutation of those lengths keeps a
-closure, the Python-int bitset of the numbered permutations at or below it.
-Length n-1 keeps only each permutation's value and its children's closures.
-The values are signed bit planes: ``classes[s * 2**j]`` (s = +1 or -1) is
-the bitset of the numbered permutations whose value has sign s and bit j
-set in its magnitude.  A permutation pi of length n has
-
-    mu(1, pi) = -sum of mu(tau) over its distinct single deletions tau
-                - sum_p p * |D & classes[p]|,
-
-where D is the OR of the closures of pi's double deletions.  This is the
-layout and the bit-plane popcount (``mobius._enter`` and ``mobius._value``)
-of the interval walk in ``mobius.py``, numbered over all shorter
-permutations instead of one interval.
+The density sweep for length n first builds ``mobius.LevelTables(n)``: the
+values mu(1, tau) of every tau shorter than n, in the bit-plane layout of
+the interval walk, which that class describes.
 
 The scan evaluates one representative per orbit of the 8 symmetries
 (weighted by orbit size) and partitions S_n into the n(n-1) chunks of
@@ -38,24 +24,20 @@ import json
 import math
 import multiprocessing
 import os
-import sys
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
-from . import permcore
 from .permcore import (
-    BudgetError,
     Perm,
     PermError,
     adjacencies,
-    deletions,
     fmt,
     is_simple,
     symmetry_orbit,
 )
-from .mobius import MobiusCache, _enter, _value, principal_mobius
+from .mobius import LevelTables, MobiusCache, principal_mobius
 from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, certify_zero
 
 #: Default cap for the density sweep; longer runs need an explicit opt-in.
@@ -146,102 +128,6 @@ def adjacency_counts(n: int) -> tuple[int, int, int]:
 
 # ---------------------------------------------------------------------------
 # Density sweep.
-
-
-class LevelTables:
-    """mu(1, tau) for every permutation tau shorter than ``n``, built bottom-up.
-
-    ``closures`` maps each permutation of length <= n-2 (and the empty one,
-    with closure 0) to the bitset of the nonzero-valued permutations at or
-    below it; those are numbered in ascending length, then lexicographic
-    rank.  ``top`` maps each permutation of length n-1 to its value and the
-    tuple of its children's closures.  ``classes`` holds the values of the
-    numbered permutations as signed bit planes: ``classes[s * 2**j]`` is the
-    bitset of those whose value has sign s and bit j set in its magnitude
-    (``mobius._enter``).  Raises BudgetError once both levels'
-    keys and entries and the two dicts pass ``permcore.BUDGET_BYTES``; a
-    dict's growth within a level is counted when the level ends.
-
-    Through ``get``/``put`` the tables are a full principal cache: lengths
-    up to n are read off the tables, longer permutations are memoized in
-    ``memo``, a MobiusCache the tables own.
-    """
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise PermError("n must be positive")
-        self.n = n
-        self.closures: dict[Perm, int] = {(): 0}
-        self.top: dict[Perm, tuple[int, tuple[int, ...]]] = {}
-        self.classes: dict[int, int] = {}
-        self.memo = MobiusCache()
-        closures, top, classes = self.closures, self.top, self.classes
-        getsizeof = sys.getsizeof
-        bit, size, budget = 1, 0, permcore.BUDGET_BYTES
-        for k in range(1, n):
-            # a dict's own size changes only when it resizes: count the two
-            # as they were when the level began, and exactly once it is done
-            dicts = getsizeof(closures) + getsizeof(top)
-            for tau in itertools.permutations(range(1, k + 1)):
-                kids = tuple([closures[c] for c in deletions(tau)])
-                mu = self._value(kids) if k > 1 else 1
-                if k == n - 1:
-                    entry = top[tau] = (mu, kids)
-                    size += getsizeof(tau) + getsizeof(entry) + getsizeof(kids)
-                else:
-                    closure = 0
-                    for c in kids:
-                        closure |= c
-                    if mu:
-                        _enter(classes, mu, bit)
-                        closure |= bit
-                        bit <<= 1
-                    closures[tau] = closure
-                    size += getsizeof(tau) + getsizeof(closure)
-                if size + dicts > budget:
-                    break
-            if size + getsizeof(closures) + getsizeof(top) > budget:
-                raise BudgetError(f"level tables for n={n} exceed {budget} bytes")
-
-    def _value(self, kids: Sequence[int], singles: int = 0) -> int:
-        # mu(1, .) of a permutation whose numbered strict down-set is the OR
-        # of ``kids`` and whose unnumbered children's values sum to ``singles``
-        below = 0
-        for c in kids:
-            below |= c
-        return _value(below, self.classes) - singles
-
-    def get(self, pi: Perm) -> Optional[int]:
-        """The read side of the MobiusCache protocol, so ``principal_mobius``
-        can use the tables as its cache: mu(1, pi) from the tables for
-        |pi| <= n, and beyond n the memoized value of pi or a symmetric
-        image, None if ``put`` has not stored one."""
-        if len(pi) <= self.n:
-            return self.mobius(pi)
-        return self.memo.get(pi)
-
-    def put(self, pi: Perm, value: int) -> None:
-        """Memoize mu(1, pi) for |pi| > n; shorter values are in the tables."""
-        if len(pi) > self.n:
-            self.memo.put(pi, value)
-
-    def mobius(self, pi: Perm) -> int:
-        """mu(1, pi) for a permutation pi with 1 <= |pi| <= n."""
-        k = len(pi)
-        if not 1 <= k <= self.n:
-            raise PermError(f"level tables for n={self.n} cannot evaluate length {k}")
-        if k == 1:
-            return 1
-        if k < self.n:
-            return self._value([self.closures[c] for c in deletions(pi)])
-        singles = 0
-        kids: list[int] = []
-        top = self.top
-        for tau in deletions(pi):
-            mu, grandkids = top[tau]
-            singles += mu
-            kids.extend(grandkids)
-        return self._value(kids, singles)
 
 
 def build_principal_table(n_max: int, cache: Optional[MobiusCache] = None) -> MobiusCache:
@@ -410,6 +296,8 @@ def zero_density(
     """
     if n < 1:
         raise PermError("n must be positive")
+    if workers < 1:
+        raise PermError(f"workers must be at least 1, got {workers}")
     _check_desk_cap(n, long_run)
     audit = audit_file is not None
     chunks = _chunks(n)
@@ -420,7 +308,7 @@ def zero_density(
 
     results: dict[Perm, dict] = dict(done)
     tables = LevelTables(n) if pending else None
-    if workers <= 1 or len(pending) <= 1:
+    if workers == 1 or len(pending) <= 1:
         _worker_init(n, audit, tables)
         for c in pending:
             results[c] = _scan_chunk(c)

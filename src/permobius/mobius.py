@@ -7,9 +7,11 @@ element's closure is the Python-int bitset of the numbered elements at or
 below it.  The values are held as signed bit planes: ``classes[s * 2**j]``
 (s = +1 or -1) is the bitset of the numbered elements whose value has sign
 s and bit j set in its magnitude.  mu(sigma, tau) is then one popcount per
-plane of the OR of its children's closures (``_value``, which the census
-level tables share), so the work per element grows with the bits of the
-largest value, not with the number of distinct values.
+plane of the OR of its children's closures (``_value``), so the work per
+element grows with the bits of the largest value, not with the number of
+distinct values.  ``LevelTables``, which the census and the verification
+suites read, numbers the same layout over every permutation shorter than n
+instead of one interval; no other module reads the layout's helpers.
 ``interval_mobius`` returns every value of that walk.  An optional cache
 memoizes principal values mu(1, pi) only, keyed by the symmetry-canonical
 form of pi, which is sound because the principal Mobius function is
@@ -19,9 +21,13 @@ that skipped rule-certified zeros survives as a test oracle.
 """
 from __future__ import annotations
 
+import itertools
+import sys
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
+from . import permcore
 from .permcore import (
+    BudgetError,
     Perm,
     PermError,
     canonical_symmetry_form,
@@ -131,6 +137,99 @@ def _walk(sigma: Perm, pi: Perm) -> Iterator[tuple[Perm, int, int]]:
         closed, held = above, made
 
 
+class LevelTables:
+    """mu(1, tau) for every permutation tau shorter than ``n``, built bottom-up.
+
+    ``closures`` maps each permutation of length <= n-2 (and the empty one,
+    with closure 0) to the bitset of the nonzero-valued permutations at or
+    below it; those are numbered in ascending length, then lexicographic
+    rank.  ``top`` maps each permutation of length n-1 to its value and the
+    tuple of its children's closures.  ``classes`` holds the values of the
+    numbered permutations as signed bit planes: ``classes[s * 2**j]`` is the
+    bitset of those whose value has sign s and bit j set in its magnitude
+    (``_enter``).  Raises BudgetError once both levels'
+    keys and entries and the two dicts pass ``permcore.BUDGET_BYTES``; a
+    dict's growth within a level is counted when the level ends.
+
+    Through ``get``/``put`` the tables are a full principal cache: lengths
+    up to n are read off the tables, longer permutations are memoized in
+    ``memo``, a MobiusCache the tables own.
+    """
+
+    def __init__(self, n: int) -> None:
+        if n < 1:
+            raise PermError("n must be positive")
+        self.n = n
+        self.closures: dict[Perm, int] = {(): 0}
+        self.top: dict[Perm, tuple[int, tuple[int, ...]]] = {}
+        self.classes: dict[int, int] = {}
+        self.memo = MobiusCache()
+        closures, top, classes = self.closures, self.top, self.classes
+        getsizeof = sys.getsizeof
+        bit, size, budget = 1, 0, permcore.BUDGET_BYTES
+        for k in range(1, n):
+            # a dict's own size changes only when it resizes: count the two
+            # as they were when the level began, and exactly once it is done
+            dicts = getsizeof(closures) + getsizeof(top)
+            for tau in itertools.permutations(range(1, k + 1)):
+                kids = tuple([closures[c] for c in deletions(tau)])
+                below = 0
+                for c in kids:
+                    below |= c
+                mu = _value(below, classes) if k > 1 else 1
+                if k == n - 1:
+                    entry = top[tau] = (mu, kids)
+                    size += getsizeof(tau) + getsizeof(entry) + getsizeof(kids)
+                else:
+                    if mu:
+                        _enter(classes, mu, bit)
+                        below |= bit
+                        bit <<= 1
+                    closures[tau] = below
+                    size += getsizeof(tau) + getsizeof(below)
+                if size + dicts > budget:
+                    break
+            if size + getsizeof(closures) + getsizeof(top) > budget:
+                raise BudgetError(f"level tables for n={n} exceed {budget} bytes")
+
+    def get(self, pi: Perm) -> Optional[int]:
+        """The read side of the MobiusCache protocol, so ``principal_mobius``
+        can use the tables as its cache: mu(1, pi) from the tables for
+        |pi| <= n, and beyond n the memoized value of pi or a symmetric
+        image, None if ``put`` has not stored one."""
+        if len(pi) <= self.n:
+            return self.mobius(pi)
+        return self.memo.get(pi)
+
+    def put(self, pi: Perm, value: int) -> None:
+        """Memoize mu(1, pi) for |pi| > n; shorter values are in the tables."""
+        if len(pi) > self.n:
+            self.memo.put(pi, value)
+
+    def mobius(self, pi: Perm) -> int:
+        """mu(1, pi) for a permutation pi with 1 <= |pi| <= n."""
+        k = len(pi)
+        if not 1 <= k <= self.n:
+            raise PermError(f"level tables for n={self.n} cannot evaluate length {k}")
+        if k == 1:
+            return 1
+        below = 0
+        if k < self.n:
+            closures = self.closures
+            for c in deletions(pi):
+                below |= closures[c]
+            return _value(below, self.classes)
+        # the top level keeps no closures: its children's values are the
+        # singles, and the OR of its grandchildren's closures the rest
+        singles, top = 0, self.top
+        for tau in deletions(pi):
+            mu, grandkids = top[tau]
+            singles += mu
+            for c in grandkids:
+                below |= c
+        return _value(below, self.classes) - singles
+
+
 def interval_mobius(sigma: Perm, pi: Perm) -> dict[Perm, int]:
     """mu(sigma, tau) for every tau in [sigma, pi], in walk order (lengths
     ascending); empty if sigma !<= pi.  An empty sigma stands for 1: the
@@ -154,7 +253,7 @@ def principal_mobius(
 
     ``cache`` is probed once with ``get(pi)`` and receives only the value of
     pi through ``put(pi, value)``; any object with that protocol will do,
-    such as the census level tables.
+    such as ``LevelTables``.
     ``pruned`` changes nothing: every interior value comes from the one
     interval pass.  It stays only because the benchmark's cross-check
     (``bench/run.py``) passes ``pruned=False``.
@@ -181,8 +280,6 @@ def mobius(sigma: Perm, pi: Perm) -> int:
         return 1
     if not contains(sigma, pi):
         return 0
-    if sigma == P1:
-        return principal_mobius(pi)
     return _interval_mobius(sigma, pi)
 
 

@@ -26,9 +26,9 @@ from .permcore import (
     parse,
     pattern_of,
 )
-from .census import LevelTables
 from .mobius import (
     FinitePosetView,
+    LevelTables,
     P1,
     interval_as_poset,
     interval_mobius,

@@ -14,6 +14,8 @@ from permobius import (
     CensusRow,
     PermError,
     adjacency_counts,
+    canonical_symmetry_form,
+    certify_zero,
     density_bound_report,
     emit_table,
     principal_mobius,
@@ -23,11 +25,11 @@ from permobius import (
 )
 from permobius import census, permcore
 from permobius.census import (
-    LevelTables,
     adjacency_free_recurrence,
     build_principal_table,
     no_up_adjacency_recurrence,
 )
+from permobius.mobius import LevelTables
 from oracles import brute_adjacency_counts, brute_scan_chunk
 
 # Densities independently pinned by exhaustive evaluation with the
@@ -275,6 +277,23 @@ class TestZeroDensity:
     def test_n9_row(self):
         row = emit_table([zero_density(9)], format="csv").splitlines()[1]
         assert row == "9,362880,218434,0.6019,160862,148329,47622,113844,28146,27766"
+
+    @pytest.mark.skipif(
+        os.environ.get("PERMOBIUS_STRETCH") != "1",
+        reason="stretch; set PERMOBIUS_STRETCH=1 to run (about 2.5 s on one core)",
+    )
+    def test_no_nonzero_of_length_9_is_certified(self):
+        # the scan certifies only zeros, so it cannot see a certificate
+        # wrongly issued for a nonzero; this checks every orbit of S_9
+        tables = LevelTables(9)
+        reps = nonzero = 0
+        for pi in itertools.permutations(range(1, 10)):
+            if pi == canonical_symmetry_form(pi):
+                reps += 1
+                if tables.mobius(pi):
+                    nonzero += 1
+                    assert certify_zero(pi) is None, pi
+        assert (reps, nonzero) == (46066, 18248)
 
 
 class TestLevelTables:

@@ -140,6 +140,15 @@ class TestCensus:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, capsys, monkeypatch, workers):
+        # refused before the level tables are built
+        built = []
+        monkeypatch.setattr(census, "LevelTables", built.append)
+        code, out, err = run(capsys, "census", "--n", "4", "--workers", workers)
+        assert (code, out, built) == (EXIT_DOMAIN, "", [])
+        assert err == f"error: workers must be at least 1, got {workers}\n"
+
     def test_level_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(permcore, "BUDGET_BYTES", 64)
         code, out, err = run(capsys, "census", "--n", "6")
@@ -220,6 +229,11 @@ class TestTable:
             code, out, err = run(capsys, "table", "--nmax", nmax)
             assert code == EXIT_DOMAIN
             assert err.startswith("error:") and out == ""
+
+    def test_workers_below_one(self, capsys):
+        code, out, err = run(capsys, "table", "--nmax", "4", "--workers", "0")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: workers must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("nmax", ["10", "12"])
     def test_desk_cap_before_any_row(self, capsys, monkeypatch, nmax):

@@ -23,8 +23,7 @@ from permobius import (
     pattern_of,
     principal_mobius,
 )
-from permobius.census import LevelTables
-from permobius.mobius import _enter, _value, _walk
+from permobius.mobius import LevelTables, _enter, _value, _walk
 from permobius import permcore
 from permobius.permcore import down_set
 from oracles import (

@@ -8,7 +8,8 @@ the module reads fails the test unless its import statement carries
 ``# noqa: F401``.  A private
 function, class or assignment at module level (``_name``, not a dunder)
 fails when no module of the package reads it, imports it or takes it as an
-attribute.
+attribute.  No library module but ``mobius.py`` imports the helpers of the
+bit-plane kernel, whose format that module owns.
 """
 import ast
 from pathlib import Path
@@ -53,6 +54,32 @@ def test_guard_catches_a_leftover_import():
     assert unused_imports(source) == ["line 1: BUDGET_BYTES"]
     kept = "from .permcore import BUDGET_BYTES  # noqa: F401\n"
     assert unused_imports(kept) == []
+
+
+KERNEL = frozenset({"_enter", "_value", "_walk"})
+
+
+def kernel_imports(source: str) -> list[str]:
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in KERNEL
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "mobius.py"], ids=lambda p: p.name
+)
+def test_kernel_stays_in_mobius(path):
+    assert kernel_imports(path.read_text()) == []
+
+
+def test_guard_catches_a_kernel_import():
+    source = "from .mobius import (\n    LevelTables,\n    _value,\n)\n"
+    assert kernel_imports(source) == ["_value"]
+    assert kernel_imports("from .mobius import LevelTables\n") == []
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:

@@ -13,7 +13,7 @@ from permobius import (
     run_theorem_suites,
     verify,
 )
-from permobius.census import LevelTables
+from permobius.mobius import LevelTables
 from permobius.cli import EXIT_VERIFY, main
 from permobius.verify import (
     DIAMOND_214635,
