@@ -10,12 +10,15 @@ permutations that share their first two entries, in lexicographic order,
 so results are byte-identical for any worker count.  Outside audit mode a
 chunk visits only orbit candidates: permutations whose first entry is at
 most the first entry of each of their 8 images, read off pi[0], pi[-1] and
-the positions of 1 and n.  Only those reach ``symmetry_orbit``.
+the positions of 1 and n.  Only those have their 8 images built.
 
-The scan also counts the permutations with opposing adjacencies (s_n) and
-with none (b_n).  Reverse and complement swap up- and down-adjacencies and
-inverse keeps them, so orbit weights count both classes exactly, and
-``zero_density`` checks them against the recurrences at every n.
+Each representative's intervals are scanned once, and that list gives its
+simplicity, its adjacencies and, for a zero, its certificate
+(``zerorules._certify``, uncached).  The scan counts the permutations with
+opposing adjacencies (s_n) and with none (b_n).  Reverse and complement
+swap up- and down-adjacencies and inverse keeps them, so orbit weights
+count both classes exactly, and ``zero_density`` checks them against the
+recurrences at every n.
 """
 from __future__ import annotations
 
@@ -29,16 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
-from .permcore import (
-    Perm,
-    PermError,
-    adjacencies,
-    fmt,
-    is_simple,
-    symmetry_orbit,
-)
+from .permcore import Perm, PermError, fmt, intervals, symmetric_images, symmetry_orbit
 from .mobius import LevelTables, MobiusCache, principal_mobius
-from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, certify_zero
+from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, _certify
+
+# Unused here; bench/tracing.py patches these names on this module.
+from .permcore import is_simple  # noqa: F401
+from .zerorules import certify_zero  # noqa: F401
 
 #: Default cap for the density sweep; longer runs need an explicit opt-in.
 DENSITY_DESK_CAP = 9
@@ -198,23 +198,26 @@ def _scan_chunk(prefix: Perm) -> dict:
                 and first <= pi.index(n) + 1 <= top
             ):
                 continue
-            orbit = symmetry_orbit(pi)
-            if pi != min(orbit):
+            images = symmetric_images(pi)
+            if pi != min(images):
                 continue
-            weight = len(orbit)
+            weight = len(set(images))
             mu = principal_mobius(pi, cache=tables)
+        # pi is simple iff its only intervals are the singletons and pi (one
+        # of them if n = 1); the length-2 ones are adjacencies, up if rising
+        ivs = list(intervals(pi))
+        rising = [pi[s - 1] == low for s, e, low in ivs if e - s == 1]
         if mu == 0:
             counts["zeros"] += weight
-            if certify_zero(pi) is not None:
+            if _certify(pi, ivs) is not None:
                 counts["certified"] += weight
-        if is_simple(pi):
+        if len(ivs) == n + (n > 1):
             counts["simple"] += weight
             if mu != 0:
                 counts["simple_nonzero"] += weight
-        ups, downs = adjacencies(pi)
-        if ups and downs:
+        if True in rising and False in rising:
             counts["opposing"] += weight
-        elif not (ups or downs):
+        elif not rising:
             counts["adjacency_free"] += weight
     return {"chunk": prefix, **counts, "audit": audit_lines}
 

@@ -34,6 +34,7 @@ from .permcore import (
     contains,
     deletion_levels,
     deletions,
+    _deletions,
     _over_budget,
 )
 
@@ -140,11 +141,12 @@ def _walk(sigma: Perm, pi: Perm) -> Iterator[tuple[Perm, int, int]]:
 class LevelTables:
     """mu(1, tau) for every permutation tau shorter than ``n``, built bottom-up.
 
-    ``closures`` maps each permutation of length <= n-2 (and the empty one,
-    with closure 0) to the bitset of the nonzero-valued permutations at or
-    below it; those are numbered in ascending length, then lexicographic
-    rank.  ``top`` maps each permutation of length n-1 to its value and the
-    tuple of its children's closures.  ``classes`` holds the values of the
+    Both maps are keyed by ``bytes(tau)``, as ``permcore._deletions``
+    deletes.  ``closures`` maps each tau of length <= n-2 (and b"", with
+    closure 0) to the bitset of the nonzero-valued permutations at or below
+    it; those are numbered in ascending length, then lexicographic rank.
+    ``top`` maps each tau of length n-1 to its value and the tuple of its
+    children's closures.  ``classes`` holds the values of the
     numbered permutations as signed bit planes: ``classes[s * 2**j]`` is the
     bitset of those whose value has sign s and bit j set in its magnitude
     (``_enter``).  Raises BudgetError once both levels'
@@ -160,8 +162,8 @@ class LevelTables:
         if n < 1:
             raise PermError("n must be positive")
         self.n = n
-        self.closures: dict[Perm, int] = {(): 0}
-        self.top: dict[Perm, tuple[int, tuple[int, ...]]] = {}
+        self.closures: dict[bytes, int] = {b"": 0}
+        self.top: dict[bytes, tuple[int, tuple[int, ...]]] = {}
         self.classes: dict[int, int] = {}
         self.memo = MobiusCache()
         closures, top, classes = self.closures, self.top, self.classes
@@ -171,8 +173,8 @@ class LevelTables:
             # a dict's own size changes only when it resizes: count the two
             # as they were when the level began, and exactly once it is done
             dicts = getsizeof(closures) + getsizeof(top)
-            for tau in itertools.permutations(range(1, k + 1)):
-                kids = tuple([closures[c] for c in deletions(tau)])
+            for tau in map(bytes, itertools.permutations(range(1, k + 1))):
+                kids = tuple([closures[c] for c in _deletions(tau)])
                 below = 0
                 for c in kids:
                     below |= c
@@ -216,13 +218,13 @@ class LevelTables:
         below = 0
         if k < self.n:
             closures = self.closures
-            for c in deletions(pi):
+            for c in _deletions(bytes(pi)):
                 below |= closures[c]
             return _value(below, self.classes)
         # the top level keeps no closures: its children's values are the
         # singles, and the OR of its grandchildren's closures the rest
         singles, top = 0, self.top
-        for tau in deletions(pi):
+        for tau in _deletions(bytes(pi)):
             mu, grandkids = top[tau]
             singles += mu
             for c in grandkids:

@@ -20,7 +20,7 @@ MAX_LEN = 64
 
 #: Bytes, as ``sys.getsizeof`` counts them, that one interval walk or one
 #: level-table build may hold.  pi_22's walk counts 63 MiB and LevelTables(10)
-#: 146 MiB; a random pi of length 30 trips at 1.6M elements and 350 MiB of
+#: 119 MiB; a random pi of length 30 trips at 1.6M elements and 350 MiB of
 #: RSS, far below the 8 GiB of the 2-core machine this was sized on.
 BUDGET_BYTES = 1 << 28
 
@@ -274,7 +274,12 @@ def find_sum_split_interval(pi: Perm) -> Optional[tuple[int, int, int]]:
     position p has every window value to its left below pi[p] and every one
     to its right above.  Witnesses are ordered lexicographically.
     """
-    for s, e, low in intervals(pi):
+    return _sum_split(pi, intervals(pi))
+
+
+def _sum_split(pi: Perm, ivs: Iterable[tuple[int, int, int]]) -> Optional[tuple[int, int, int]]:
+    """``find_sum_split_interval`` over ``ivs``, pi's intervals in ``intervals`` order."""
+    for s, e, low in ivs:
         # p splits [s, e] iff pi[p] = low + (p - s) and exceeds all to its left
         high = pi[s - 1]
         for p in range(s + 1, e):

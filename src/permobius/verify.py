@@ -17,7 +17,6 @@ from .permcore import (
     Perm,
     PermError,
     adjacencies,
-    deletions,
     direct_sum,
     down_set,
     fmt,
@@ -25,6 +24,7 @@ from .permcore import (
     inflate_at,
     parse,
     pattern_of,
+    _deletions,
 )
 from .mobius import (
     FinitePosetView,
@@ -167,12 +167,12 @@ def check_eq_cancel_thm1(pi: Perm, i: int, j: int, tables: LevelTables) -> bool:
         )
     closures = tables.closures
     below = 0
-    for c in deletions(pi):
+    for c in _deletions(bytes(pi)):
         below |= closures[c]
     sources = []
     for gone in ((i,), (j,), (i, j)):
         src = pattern_of(tuple(v for p, v in enumerate(pi, start=1) if p not in gone))
-        sources.append(((-1) ** len(src), closures[src]))
+        sources.append(((-1) ** len(src), closures[bytes(src)]))
     for pattern in itertools.product((True, False), repeat=len(sources)):
         signed = (-1) ** len(pi)
         lams = below

@@ -2,12 +2,13 @@
 
 Each rule is sound: a permutation holding a valid certificate has principal
 Mobius value 0.  Completeness is not attempted; zeros arising from
-accidental cancellation get no certificate.  Every rule reads pi's windows
-from one interval scan, ``permcore.intervals``, and ``verify_certificate``
-re-checks only the windows a certificate names.  All rules are closed under
-the 8 symmetries of the pattern poset.  The sum-split rule scans only pi
-and its reverse: an image under id, rc, i or irc has an interval copy of
-some alpha+1+beta iff pi has one, and an image under r, c, ir or ic iff pi's
+accidental cancellation get no certificate.  Every rule reads one list of
+pi's intervals (``permcore.intervals``), which ``_certify`` takes from a
+caller that holds it, uncached, and ``verify_certificate`` re-checks only
+the windows a certificate names.  All rules are closed under the 8
+symmetries of the pattern poset.  The sum-split rule searches only pi and
+its reverse: an image under id, rc, i or irc has an interval copy of some
+alpha+1+beta iff pi has one, and an image under r, c, ir or ic iff pi's
 reverse has one, so no later label in SYMMETRY_LABELS is ever the first
 with a witness.  The fixed annihilators' images are tabled once at import.
 """
@@ -15,21 +16,20 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Container, Optional, Union
+from typing import Container, Iterable, Optional, Union
 
 from .permcore import (
     Perm,
     PermError,
     SYMMETRY_LABELS,
-    adjacencies,
     apply_symmetry,
     direct_sum,
     down_set,
-    find_sum_split_interval,
     fmt,
     intervals,
     pattern_of,
     symmetric_images,
+    _sum_split,
 )
 
 #: Single permutations whose interval copy forces a zero (beyond sum splits).
@@ -54,13 +54,16 @@ CONJECTURED_PAIRS: tuple[tuple[Perm, Perm], ...] = (
 )
 
 
-# Per rule table: each member (or pair) with its (label, image(s)) in
-# SYMMETRY_LABELS order.  The window lengths cover the conjectured pairs too;
-# windows that no image can match cost time, never a different certificate.
-_BASE_IMAGES = tuple(
-    (base, tuple(zip(SYMMETRY_LABELS, symmetric_images(base))))
-    for base in BASE_ANNIHILATORS
-)
+# Per rule table: each base image with its least (base index, label index),
+# read in reverse so that a repeated image keeps its first place; each pair
+# with its (label, images) in SYMMETRY_LABELS order.  The window lengths
+# cover the conjectured pairs too; windows that no image can match cost
+# time, never a different certificate.
+_BASE_INDEX = {
+    image: (b, g)
+    for b, base in reversed(list(enumerate(BASE_ANNIHILATORS)))
+    for g, image in reversed(list(enumerate(symmetric_images(base))))
+}
 
 
 def _pair_images(pairs: tuple[tuple[Perm, Perm], ...]) -> tuple:
@@ -75,6 +78,9 @@ def _pair_images(pairs: tuple[tuple[Perm, Perm], ...]) -> tuple:
 
 _PAIR_IMAGES = _pair_images(ANNIHILATOR_PAIRS)
 _CONJECTURED_IMAGES = _pair_images(CONJECTURED_PAIRS)
+_PAIR_MEMBERS = frozenset(
+    q for _pair, images in _PAIR_IMAGES + _CONJECTURED_IMAGES for _g, *qs in images for q in qs
+)
 _WINDOW_LENGTHS = frozenset(map(len, BASE_ANNIHILATORS)) | frozenset(
     len(p) for pair in ANNIHILATOR_PAIRS + CONJECTURED_PAIRS for p in pair
 )
@@ -116,11 +122,11 @@ ZeroCertificate = Union[
 
 
 def _interval_windows(
-    pi: Perm, lengths: Container[int] = _WINDOW_LENGTHS
+    pi: Perm, ivs: Iterable[tuple[int, int, int]], lengths: Container[int] = _WINDOW_LENGTHS
 ) -> dict[Perm, list[tuple[int, int]]]:
-    """The interval windows of pi with a length in ``lengths``, by pattern."""
+    """The windows of ``ivs``, pi's intervals, with a length in ``lengths``, by pattern."""
     out: dict[Perm, list[tuple[int, int]]] = {}
-    for s, e, low in intervals(pi):
+    for s, e, low in ivs:
         if e - s + 1 in lengths:
             pattern = tuple([v - low + 1 for v in pi[s - 1 : e]])
             out.setdefault(pattern, []).append((s, e))
@@ -139,21 +145,34 @@ def certify_zero(pi: Perm, include_conjectured: bool = False) -> Optional[ZeroCe
     """
     if not pi:
         raise PermError("cannot certify the empty permutation")
-    ups, downs = adjacencies(pi)
-    if ups and downs:
-        return OpposingAdjacencies(ups[0], downs[0])
-    for g, image in (("id", pi), ("r", pi[::-1])):
-        w = find_sum_split_interval(image)
-        if w is not None:
-            return SumAnnihilator(window=(w[0], w[1]), split=w[2], symmetry=g)
+    return _certify(pi, list(intervals(pi)), include_conjectured)
 
-    windows = _interval_windows(pi)
-    for base, images in _BASE_IMAGES:
-        for g, image in images:
-            copies = windows.get(image)
-            if copies:
-                return BaseAnnihilator(base=base, symmetry=g, window=copies[0])
 
+def _certify(
+    pi: Perm, ivs: list[tuple[int, int, int]], include_conjectured: bool = False
+) -> Optional[ZeroCertificate]:
+    """``certify_zero`` over ``ivs = list(intervals(pi))``, uncached; the
+    length-2 intervals are the adjacencies, and reversing pi maps the
+    interval (s, e, low) to (n+1-e, n+1-s, low)."""
+    up = next((s for s, e, low in ivs if e - s == 1 and pi[s - 1] == low), 0)
+    down = next((s for s, e, low in ivs if e - s == 1 and pi[s - 1] != low), 0)
+    if up and down:
+        return OpposingAdjacencies(up, down)
+    w, g = _sum_split(pi, ivs), "id"
+    if w is None:
+        n1 = len(pi) + 1
+        reverse = sorted([(n1 - e, n1 - s, low) for s, e, low in ivs])
+        w, g = _sum_split(pi[::-1], reverse), "r"
+    if w is not None:
+        return SumAnnihilator(window=(w[0], w[1]), split=w[2], symmetry=g)
+
+    windows = _interval_windows(pi, ivs)
+    found = [(_BASE_INDEX[p], p) for p in windows if p in _BASE_INDEX]
+    if found:  # the least index is the first base and label in table order
+        (b, g), image = min(found)
+        return BaseAnnihilator(BASE_ANNIHILATORS[b], SYMMETRY_LABELS[g], windows[image][0])
+    if windows.keys().isdisjoint(_PAIR_MEMBERS):  # no window of any pair member
+        return None
     pairs = _PAIR_IMAGES + (_CONJECTURED_IMAGES if include_conjectured else ())
     for pair, images in pairs:
         for g, phi, psi in images:
@@ -228,9 +247,9 @@ def sigma_sum_rule(sigma: Perm, alpha: Perm, beta: Perm, pi: Perm) -> bool:
     if not sigma or not alpha or not beta:
         raise PermError("sigma, alpha and beta must be nonempty")
     phi = direct_sum(alpha, direct_sum((1,), beta))
-    if phi not in _interval_windows(pi, (len(phi),)):
+    if phi not in _interval_windows(pi, intervals(pi), (len(phi),)):
         return False
-    windows = _interval_windows(sigma, range(2, len(alpha) + len(beta) + 1))
+    windows = _interval_windows(sigma, intervals(sigma), range(2, len(alpha) + len(beta) + 1))
     return not any(
         direct_sum(ap, bp) in windows for ap in down_set(alpha) for bp in down_set(beta)
     )

@@ -16,6 +16,7 @@ from permobius import (
     MobiusCache,
     certify_zero,
     direct_sum,
+    emit_table,
     has_opposing_adjacencies,
     inflate_at,
     parse,
@@ -64,6 +65,9 @@ def test_criterion_1_table1_densities():
     start = time.monotonic()
     row8 = zero_density(8)
     assert row8.density_str == EXPECTED_DENSITIES[8]
+    assert emit_table([row8], format="csv").splitlines()[1] == (
+        "8,40320,23958,0.5942,18410,16687,5242,12188,2926,2902"
+    )
     assert time.monotonic() - start < 900
     report(1, "densities n=1..8 match 0.0000..0.5942; runtime within budget")
 

@@ -47,6 +47,18 @@ DENSITIES = {
 A_SEQ = (1, 1, 3, 11, 53, 309, 2119)
 B_SEQ = (1, 0, 0, 2, 14, 90, 646)
 
+# Whole CSV rows as the census printed them before its scan read one
+# interval list per representative; test_acceptance.py pins n = 8.
+CSV_ROWS = {
+    1: "1,1,0,0.0000,0,1,1,0,1,1",
+    2: "2,2,0,0.0000,0,1,0,0,2,2",
+    3: "3,6,2,0.3333,2,3,0,0,0,0",
+    4: "4,24,10,0.4167,10,11,2,4,2,2",
+    5: "5,120,58,0.4833,58,53,14,28,6,6",
+    6: "6,720,386,0.5361,358,309,90,192,46,46",
+    7: "7,5040,2894,0.5742,2406,2119,646,1448,338,338",
+}
+
 
 class TestRecurrences:
     def test_no_up_adjacency(self):
@@ -123,6 +135,19 @@ class TestZeroDensity:
             assert row.certified_count <= row.zero_count
             assert row.a_n == A_SEQ[n - 1] and row.b_n == B_SEQ[n - 1]
             assert row.s_n == math.factorial(n) - 2 * row.a_n + row.b_n
+            assert emit_table([row], format="csv").splitlines()[1] == CSV_ROWS[n]
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_rows_at_two_workers(self, n):
+        row = zero_density(n, workers=2)
+        assert emit_table([row], format="csv").splitlines()[1] == CSV_ROWS[n]
+
+    def test_census_leaves_the_certificate_cache_empty(self):
+        # the scan certifies each representative once, so a cache would
+        # only grow: it reads the uncached certifier
+        certify_zero.cache_clear()
+        zero_density(7)
+        assert certify_zero.cache_info().currsize == 0
 
     def test_worker_count_invariance(self):
         rows = [zero_density(6, workers=w) for w in (1, 2, 3)]
@@ -400,7 +425,7 @@ class TestChunkScan:
     def test_orbit_weights_sum_to_factorial(self, monkeypatch):
         # with every value 0, the zeros of a scan are its orbit weights
         monkeypatch.setattr(census, "principal_mobius", lambda pi, cache: 0)
-        monkeypatch.setattr(census, "certify_zero", lambda pi: None)
+        monkeypatch.setattr(census, "_certify", lambda pi, ivs: None)
         for n in range(1, 9):
             census._worker_init(n, False, None)
             weights = sum(census._scan_chunk(c)["zeros"] for c in census._chunks(n))

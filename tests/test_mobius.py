@@ -357,7 +357,7 @@ class TestPosetView:
         for n in range(1, 7):
             for pi in perms_of(n):
                 for tau, closure, value in _walk((1,), pi):
-                    assert closure.bit_count() == tables8.closures[tau].bit_count(), (pi, tau)
+                    assert closure.bit_count() == tables8.closures[bytes(tau)].bit_count(), (pi, tau)
                     assert value == tables8.mobius(tau), (pi, tau)
 
 

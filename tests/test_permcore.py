@@ -413,7 +413,7 @@ class TestIntervalCopies:
             want = {}
             for s, e, _ in brute_intervals(pi):
                 want.setdefault(pattern_of(pi[s - 1 : e]), []).append((s, e))
-            assert _interval_windows(pi, range(1, len(pi) + 1)) == want, pi
+            assert _interval_windows(pi, intervals(pi), range(1, len(pi) + 1)) == want, pi
 
 
 class TestIntervals:

@@ -204,7 +204,7 @@ class TestEqCancel:
         tables = LevelTables(6)
         assert check_eq_cancel_thm1(pi, 1, 4, tables)
         broken = copy.copy(tables)
-        broken.closures = {**tables.closures, parse("1243"): 0}
+        broken.closures = {**tables.closures, bytes(parse("1243")): 0}
         assert not check_eq_cancel_thm1(pi, 1, 4, broken)
 
     def test_suite_reports_a_failed_cancellation(self, capsys, monkeypatch):
@@ -212,7 +212,7 @@ class TestEqCancel:
         # the up-adjacency at 1
         def broken_tables(n):
             tables = LevelTables(n)
-            tables.closures[parse("132")] = 0
+            tables.closures[bytes(parse("132"))] = 0
             return tables
 
         monkeypatch.setattr(verify, "LevelTables", broken_tables)

@@ -173,6 +173,24 @@ class TestCertificatePin:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "9b33aed031ba44fec409f8028a56a60c94d48975b62a99a52332f541581f9ad8"
 
+    def test_certificate_lines_of_length_8(self):
+        lines = [certificate_line(pi, certify_zero(pi)) for pi in perms_of(8)]
+        assert len(lines) == 40320
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "47d0a2aa44ae2ffcccae98699d86fce9579742516f86b0ab5c169f815e77a8ea"
+
+    def test_conjectured_certificate_lines_up_to_7(self):
+        # the conjectured pair's members need 9 points, so through length 7
+        # the flag must leave every certificate as it is without it
+        lines = [
+            certificate_line(pi, certify_zero(pi, include_conjectured=True))
+            for n in range(1, 8)
+            for pi in perms_of(n)
+        ]
+        assert len(lines) == 5913
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "9b33aed031ba44fec409f8028a56a60c94d48975b62a99a52332f541581f9ad8"
+
 
 class TestSigmaSumRule:
     def test_literal_quantification(self):
