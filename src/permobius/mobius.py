@@ -208,6 +208,19 @@ class LevelTables:
         if len(pi) > self.n:
             self.memo.put(pi, value)
 
+    def closure(self, tau: Perm) -> int:
+        """The bitset of the nonzero-valued permutations at or below tau,
+        for |tau| <= n-2."""
+        return self.closures[bytes(tau)]
+
+    def below(self, pi: Perm) -> int:
+        """The bitset of the nonzero-valued permutations strictly below pi,
+        for 1 <= |pi| <= n-1: the OR of the closures of pi's deletions."""
+        below, closures = 0, self.closures
+        for c in _deletions(bytes(pi)):
+            below |= closures[c]
+        return below
+
     def mobius(self, pi: Perm) -> int:
         """mu(1, pi) for a permutation pi with 1 <= |pi| <= n."""
         k = len(pi)
@@ -215,15 +228,11 @@ class LevelTables:
             raise PermError(f"level tables for n={self.n} cannot evaluate length {k}")
         if k == 1:
             return 1
-        below = 0
         if k < self.n:
-            closures = self.closures
-            for c in _deletions(bytes(pi)):
-                below |= closures[c]
-            return _value(below, self.classes)
+            return _value(self.below(pi), self.classes)
         # the top level keeps no closures: its children's values are the
         # singles, and the OR of its grandchildren's closures the rest
-        singles, top = 0, self.top
+        below, singles, top = 0, 0, self.top
         for tau in _deletions(bytes(pi)):
             mu, grandkids = top[tau]
             singles += mu

@@ -5,7 +5,6 @@ Random structures are driven by explicit seeds recorded in the report.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import random
@@ -24,7 +23,6 @@ from .permcore import (
     inflate_at,
     parse,
     pattern_of,
-    _deletions,
 )
 from .mobius import (
     FinitePosetView,
@@ -151,10 +149,9 @@ def check_eq_cancel_thm1(pi: Perm, i: int, j: int, tables: LevelTables) -> bool:
     The test reads closures, the bitsets of the nonzero-valued permutations
     at or below a permutation, from ``tables``, which must reach pi
     (|pi| < tables.n, else PreconditionError).  The nonzero lam < pi are
-    the OR of the closures of pi's deletions; each of the 8 ways to lie
-    above or not above each source is one AND with the sources' closures or
-    their complements, and must hold no lam where the signed sum is
-    nonzero.
+    ``tables.below(pi)``; each of the 8 ways to lie above or not above each
+    source is one AND with the sources' closures or their complements, and
+    must hold no lam where the signed sum is nonzero.
     """
     ups, downs = adjacencies(pi)
     if i not in ups or j not in downs:
@@ -165,14 +162,11 @@ def check_eq_cancel_thm1(pi: Perm, i: int, j: int, tables: LevelTables) -> bool:
         raise PreconditionError(
             f"level tables for n={tables.n} hold no closure of length {len(pi)}"
         )
-    closures = tables.closures
-    below = 0
-    for c in _deletions(bytes(pi)):
-        below |= closures[c]
+    below = tables.below(pi)
     sources = []
     for gone in ((i,), (j,), (i, j)):
         src = pattern_of(tuple(v for p, v in enumerate(pi, start=1) if p not in gone))
-        sources.append(((-1) ** len(src), closures[bytes(src)]))
+        sources.append(((-1) ** len(src), tables.closure(src)))
     for pattern in itertools.product((True, False), repeat=len(sources)):
         signed = (-1) ** len(pi)
         lams = below
@@ -246,7 +240,8 @@ def planted_diamond_poset(seed: int, extra_above: int = 0):
 
 def planted_deletion_case(seed: int):
     """(P, x, y): poset with extra elements above a planted zero y."""
-    P, x, y, _core = planted_diamond_poset(seed, extra_above=random.Random(seed ^ 0xA5).randint(1, 3))
+    extra_above = random.Random(seed ^ 0xA5).randint(1, 3)
+    P, x, y, _core = planted_diamond_poset(seed, extra_above=extra_above)
     return P, x, y
 
 
@@ -352,161 +347,125 @@ def _perms_up_to(n_max: int):
         yield from itertools.permutations(range(1, n + 1))
 
 
-def _suite_theorem1(n_max: int, tables: LevelTables) -> CheckResult:
+def _inflations(parts: Iterable[Sequence[Perm]], tau_max: int) -> Iterator[Perm]:
+    """tau inflated by each tuple of parts at every ordered choice of as many
+    distinct positions, for every tau of length <= tau_max; the parts vary
+    slowest, then tau, then the positions."""
+    for ps in parts:
+        for tau in _perms_up_to(tau_max):
+            for positions in itertools.permutations(range(1, len(tau) + 1), len(ps)):
+                yield inflate_at(tau, positions, ps)
+
+
+#: (alpha + 1 + beta,) for every alpha, beta with |alpha| + |beta| <= 4.
+_SUM_MIDDLES = tuple(
+    (direct_sum(alpha, direct_sum(P1, beta)),)
+    for la in range(1, 4)
+    for lb in range(1, 5 - la)
+    for alpha in itertools.permutations(range(1, la + 1))
+    for beta in itertools.permutations(range(1, lb + 1))
+)
+
+#: eq-cancel's longest pi: LevelTables(8) keep the closures of its deletions.
+_EQ_CANCEL_MAX = 7
+
+# Each suite takes (n_max, tables), tables being the run's LevelTables (None
+# before the first suite that reads them), and returns the text of its first
+# failure, or None if every check passed.
+
+
+def _suite_theorem1(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
     for pi in _perms_up_to(n_max):
         if has_opposing_adjacencies(pi) and principal_mobius(pi, cache=tables) != 0:
-            return CheckResult("theorem1-exhaustive", False, f"counterexample {fmt(pi)}")
-    return CheckResult("theorem1-exhaustive", True, f"n<={n_max}")
+            return f"counterexample {fmt(pi)}"
+    return None
 
 
-def _suite_soundness(n_max: int, tables: LevelTables) -> CheckResult:
+def _suite_soundness(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
     for pi in _perms_up_to(n_max):
         cert = certify_zero(pi)
         if cert is None:
             continue
         if not verify_certificate(pi, cert):
-            return CheckResult(
-                "rule-soundness-exhaustive", False, f"invalid witness for {fmt(pi)}"
-            )
+            return f"invalid witness for {fmt(pi)}"
         if principal_mobius(pi, cache=tables) != 0:
-            return CheckResult(
-                "rule-soundness-exhaustive", False, f"false certificate for {fmt(pi)}"
-            )
-    return CheckResult("rule-soundness-exhaustive", True, f"n<={n_max}")
+            return f"false certificate for {fmt(pi)}"
+    return None
 
 
-def _first_nonzero(hosts: Iterable[Perm], tables: LevelTables) -> Optional[Perm]:
-    """The first host with mu(1, host) != 0, or None if every host is a zero."""
-    return next((h for h in hosts if principal_mobius(h, cache=tables) != 0), None)
+def _first_nonzero(hosts: Iterable[Perm], tables: LevelTables) -> Optional[str]:
+    """The failure for the first host with mu(1, host) != 0, or None if
+    every host is a zero."""
+    for host in hosts:
+        if principal_mobius(host, cache=tables) != 0:
+            return f"mu(1,{fmt(host)}) != 0"
+    return None
 
 
-def _cor_sum_hosts() -> Iterator[Perm]:
-    phis = (
-        direct_sum(alpha, direct_sum(P1, beta))
-        for la in range(1, 4)
-        for lb in range(1, 5 - la)
-        for alpha in itertools.permutations(range(1, la + 1))
-        for beta in itertools.permutations(range(1, lb + 1))
-    )
-    return (
-        inflate_at(tau, [i], [phi])
-        for phi in phis
-        for tau in _perms_up_to(4)
-        for i in range(1, len(tau) + 1)
-    )
+def _suite_cor_sum(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+    return _first_nonzero(_inflations(_SUM_MIDDLES, 4), tables)
 
 
-def _suite_cor_sum(tables: LevelTables) -> CheckResult:
-    host = _first_nonzero(_cor_sum_hosts(), tables)
-    if host is not None:
-        return CheckResult("cor-sum-sampled", False, f"mu(1,{fmt(host)}) != 0")
-    return CheckResult("cor-sum-sampled", True, "|alpha|+|beta|<=4, |tau|<=4")
+def _suite_pairs(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+    # the four pairs beyond (12, 21)
+    return _first_nonzero(_inflations(ANNIHILATOR_PAIRS[1:], 3), tables)
 
 
-def _suite_pairs(tables: LevelTables) -> CheckResult:
-    hosts = (
-        inflate_at(tau, [i, j], [phi, psi])
-        for phi, psi in ANNIHILATOR_PAIRS[1:]  # the four beyond (12, 21)
-        for tau in _perms_up_to(3)
-        for i, j in itertools.permutations(range(1, len(tau) + 1), 2)
-    )
-    host = _first_nonzero(hosts, tables)
-    if host is not None:
-        return CheckResult("pair-theorems-sampled", False, f"mu(1,{fmt(host)}) != 0")
-    return CheckResult("pair-theorems-sampled", True, "4 pairs, |tau|<=3")
+def _suite_base_annihilators(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+    return _first_nonzero(_inflations([(b,) for b in BASE_ANNIHILATORS], 3), tables)
 
 
-def _base_annihilator_hosts() -> Iterator[Perm]:
-    return (
-        inflate_at(tau, [i], [base])
-        for base in BASE_ANNIHILATORS
-        for tau in _perms_up_to(3)
-        for i in range(1, len(tau) + 1)
-    )
-
-
-def _suite_base_annihilators(tables: LevelTables) -> CheckResult:
-    host = _first_nonzero(_base_annihilator_hosts(), tables)
-    if host is not None:
-        return CheckResult("base-annihilators-sampled", False, f"mu(1,{fmt(host)}) != 0")
-    return CheckResult("base-annihilators-sampled", True, "3 bases, |tau|<=3")
-
-
-def _suite_non_annihilators(tables: LevelTables) -> CheckResult:
+def _suite_non_annihilators(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
     if principal_mobius(parse("214635"), cache=tables) != 0:
-        return CheckResult("non-annihilator-separation", False, "mu(1,214635) != 0")
+        return "mu(1,214635) != 0"
     host_base = parse("24153")
     for a_text in ("235614", "254613", "465213"):
         host = inflate_at(host_base, [2], [parse(a_text)])
         if principal_mobius(host, cache=tables) == 0:
-            return CheckResult(
-                "non-annihilator-separation",
-                False,
-                f"mu(1, 24153_2[{a_text}]) == 0",
-            )
-    return CheckResult("non-annihilator-separation", True)
+            return f"mu(1, 24153_2[{a_text}]) == 0"
+    return None
 
 
-def _suite_pro_form() -> CheckResult:
-    sample = [
-        (parse("1"), parse("132")),
-        (parse("1"), parse("2413")),
-        (parse("12"), parse("2413")),
-        (parse("1"), parse("21354")),
-        (parse("21"), parse("35142")),
-    ]
-    for sigma, pi in sample:
+def _suite_pro_form(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+    for interval in ("1 132", "1 2413", "12 2413", "1 21354", "21 35142"):
+        sigma, pi = map(parse, interval.split())
         for seed in range(50):
             if not check_pro_form(sigma, pi, seed):
-                return CheckResult(
-                    "pro-form-identity",
-                    False,
-                    f"sigma={fmt(sigma)} pi={fmt(pi)} seed={seed}",
-                )
-    return CheckResult("pro-form-identity", True, "50 seeds per interval")
+                return f"sigma={fmt(sigma)} pi={fmt(pi)} seed={seed}"
+    return None
 
 
-def _suite_eq_cancel(n_max: int, tables: LevelTables) -> CheckResult:
-    bound = min(n_max, 7)
-    for pi in _perms_up_to(bound):
+def _suite_eq_cancel(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+    for pi in _perms_up_to(min(n_max, _EQ_CANCEL_MAX)):
         ups, downs = adjacencies(pi)
-        if not ups or not downs:
-            continue
-        if not check_eq_cancel_thm1(pi, ups[0], downs[0], tables):
-            return CheckResult("eq-cancel-theorem1", False, f"failed at {fmt(pi)}")
-    return CheckResult("eq-cancel-theorem1", True, f"n<={bound}")
+        if ups and downs and not check_eq_cancel_thm1(pi, ups[0], downs[0], tables):
+            return f"failed at {fmt(pi)}"
+    return None
 
 
-def _suite_planted_posets() -> CheckResult:
+def _suite_planted_posets(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
     for seed in range(100):
-        P, x, y, core = planted_narrow_poset(seed)
-        if not check_fac_nd(P, x, y, core):
-            return CheckResult("fac-nd-planted", False, f"narrow seed={seed}")
-        P, x, y, core = planted_diamond_poset(seed)
-        if not check_fac_nd(P, x, y, core):
-            return CheckResult("fac-nd-planted", False, f"diamond seed={seed}")
-        P, x, y = planted_deletion_case(seed)
-        if not check_fac_del(P, x, y):
-            return CheckResult("fac-nd-planted", False, f"deletion seed={seed}")
-    return CheckResult("fac-nd-planted", True, "100 seeds")
+        for kind, plant in (("narrow", planted_narrow_poset), ("diamond", planted_diamond_poset)):
+            if not check_fac_nd(*plant(seed)):
+                return f"{kind} seed={seed}"
+        if not check_fac_del(*planted_deletion_case(seed)):
+            return f"deletion seed={seed}"
+    return None
 
 
-def _suite_figure_cores() -> CheckResult:
+def _suite_figure_cores(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
     P, core, elements_ok = reconstruct_214653_diamond()
     if not elements_ok:
-        return CheckResult(
-            "figure-diamond-cores", False, "214653 survivor set mismatch"
-        )
-    top = DIAMOND_214653[0]
-    if not check_fac_nd(P, P1, top, core):
-        return CheckResult("figure-diamond-cores", False, "214653 core check failed")
+        return "214653 survivor set mismatch"
+    if not check_fac_nd(P, P1, DIAMOND_214653[0], core):
+        return "214653 core check failed"
     P, core = reconstruct_214635_diamond()
     if not check_fac_nd(P, P1, DIAMOND_214635[0], core):
-        return CheckResult("figure-diamond-cores", False, "214635 core check failed")
-    return CheckResult("figure-diamond-cores", True)
+        return "214635 core check failed"
+    return None
 
 
-def _suite_poset_oracle() -> CheckResult:
+def _suite_poset_oracle(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
     for pi in _perms_up_to(5):
         # every [sigma, pi] is an interval of the one poset [1, pi]
         P = interval_as_poset(P1, pi)
@@ -514,37 +473,45 @@ def _suite_poset_oracle() -> CheckResult:
             got = mobius(sigma, pi)
             want = mobius_poset(P, sigma, pi)
             if got != want:
-                return CheckResult(
-                    "generic-poset-oracle",
-                    False,
-                    f"mu({fmt(sigma)},{fmt(pi)}): {got} != {want}",
-                )
-    return CheckResult("generic-poset-oracle", True, "n<=5")
+                return f"mu({fmt(sigma)},{fmt(pi)}): {got} != {want}"
+    return None
 
 
-SUITE_NAMES = (
-    "theorem1",
-    "soundness",
-    "cor-sum",
-    "pairs",
-    "base-annihilators",
-    "non-annihilators",
-    "pro-form",
-    "eq-cancel",
-    "planted-posets",
-    "figure-cores",
-    "poset-oracle",
+#: The suites in run order: each suite, its report name, whether it reads
+#: the level tables, and the detail of its PASS line.  A suite is called
+#: through the module attribute of its name, so a wrapper installed on that
+#: attribute, such as the benchmark's tracer, sees the call.
+_SUITES = (
+    (_suite_theorem1, "theorem1-exhaustive", True, "n<={n_max}"),
+    (_suite_soundness, "rule-soundness-exhaustive", True, "n<={n_max}"),
+    (_suite_cor_sum, "cor-sum-sampled", True, "|alpha|+|beta|<=4, |tau|<=4"),
+    (_suite_pairs, "pair-theorems-sampled", True, "4 pairs, |tau|<=3"),
+    (_suite_base_annihilators, "base-annihilators-sampled", True, "3 bases, |tau|<=3"),
+    (_suite_non_annihilators, "non-annihilator-separation", True, ""),
+    (_suite_pro_form, "pro-form-identity", False, "50 seeds per interval"),
+    (_suite_eq_cancel, "eq-cancel-theorem1", True, "n<={eq_cancel_max}"),
+    (_suite_planted_posets, "fac-nd-planted", False, "100 seeds"),
+    (_suite_figure_cores, "figure-diamond-cores", False, ""),
+    (_suite_poset_oracle, "generic-poset-oracle", False, "n<=5"),
+)
+
+SUITE_NAMES = tuple(
+    suite.__name__.removeprefix("_suite_").replace("_", "-") for suite, *_ in _SUITES
 )
 
 
 def run_theorem_suites(n_max: int = 6, suites: Optional[Sequence[str]] = None) -> Report:
     """Run the named verification suites (all by default) up to length n_max.
 
-    One ``LevelTables(8)`` serves every suite as a full principal cache:
-    values up to length 8, which covers the exhaustive suites and the
-    cor-sum and base-annihilator hosts, are read off the tables, and longer
-    hosts are memoized in them.  The eq-cancel suite, which stops at
-    length 7, reads their closures.
+    Each suite returns its first failure or None, and this loop turns that
+    into the suite's one ``CheckResult``: FAIL with the failure as its
+    detail, or PASS with the detail ``_SUITES`` gives it.  One
+    ``LevelTables(8)``, built before the first selected suite that reads
+    it, serves those suites as a full principal cache: values up to length
+    8, which covers the exhaustive suites and the cor-sum and
+    base-annihilator hosts, are read off the tables, and longer hosts are
+    memoized in them.  The eq-cancel suite, which stops at length 7, reads
+    their closures.
     """
     if n_max < 1:
         raise PermError(f"n_max must be at least 1, got {n_max}")
@@ -554,20 +521,15 @@ def run_theorem_suites(n_max: int = 6, suites: Optional[Sequence[str]] = None) -
     unknown = wanted - set(SUITE_NAMES)
     if unknown:
         raise PermError(f"unknown suites: {sorted(unknown)}")
-    # built by the first selected suite that reads it
-    tables = functools.cache(lambda: LevelTables(8))
-    runners = {
-        "theorem1": lambda: _suite_theorem1(n_max, tables()),
-        "soundness": lambda: _suite_soundness(n_max, tables()),
-        "cor-sum": lambda: _suite_cor_sum(tables()),
-        "pairs": lambda: _suite_pairs(tables()),
-        "base-annihilators": lambda: _suite_base_annihilators(tables()),
-        "non-annihilators": lambda: _suite_non_annihilators(tables()),
-        "pro-form": _suite_pro_form,
-        "eq-cancel": lambda: _suite_eq_cancel(n_max, tables()),
-        "planted-posets": _suite_planted_posets,
-        "figure-cores": _suite_figure_cores,
-        "poset-oracle": _suite_poset_oracle,
-    }
-    results = [runners[name]() for name in SUITE_NAMES if name in wanted]
+    fields = {"n_max": n_max, "eq_cancel_max": min(n_max, _EQ_CANCEL_MAX)}
+    tables = None
+    results = []
+    for (suite, report, reads_tables, passed), name in zip(_SUITES, SUITE_NAMES):
+        if name not in wanted:
+            continue
+        if reads_tables and tables is None:
+            tables = LevelTables(8)
+        failure = globals()[suite.__name__](n_max, tables)
+        detail = passed.format(**fields) if failure is None else failure
+        results.append(CheckResult(report, failure is None, detail))
     return Report(results)

@@ -4,9 +4,10 @@
 the module each consumer looks them up in, and ``bench/run.py`` times two
 census functions by name and cross-checks ``pmu`` values with
 ``principal_mobius(pruned=False)``; the tracer also reads the counters of
-every ``MobiusCache``.  The benchmark's own tests run outside this suite, so
-this guard catches a rename or removal here first.  The tracer source is
-compiled in memory; nothing under ``bench/`` is written.
+every ``MobiusCache``.  The benchmark's own tests under ``bench/`` run in
+this suite too, but the tracer only warns when a name it patches is
+missing, so this guard is what fails on a rename or removal.  The tracer
+source is compiled in memory; nothing under ``bench/`` is written.
 """
 import importlib
 import types

@@ -338,13 +338,12 @@ class TestLevelTables:
     def test_suite_hosts_of_length_8(self):
         # the cor-sum and base-annihilator suites read these from the top
         # level of the LevelTables(8) that run_theorem_suites builds
-        from permobius.verify import _base_annihilator_hosts, _cor_sum_hosts
+        from permobius.verify import _SUM_MIDDLES, _inflations
+        from permobius.zerorules import BASE_ANNIHILATORS
 
-        hosts = {
-            h
-            for h in itertools.chain(_cor_sum_hosts(), _base_annihilator_hosts())
-            if len(h) == 8
-        }
+        cor_sum = _inflations(_SUM_MIDDLES, 4)
+        base = _inflations([(b,) for b in BASE_ANNIHILATORS], 3)
+        hosts = {h for h in itertools.chain(cor_sum, base) if len(h) == 8}
         assert hosts
         tables = LevelTables(8)
         for host in hosts:

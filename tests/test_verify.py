@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import json
 
@@ -221,10 +222,80 @@ class TestEqCancel:
         assert out == "FAIL eq-cancel-theorem1 (failed at 1243)\nFAILED\n"
 
 
+#: (suite, name patched on permobius.verify, the constant it returns, the
+#: suite's FAIL line at n_max=7 without "FAIL ")
+FORCED_FAILURES = [
+    ("theorem1", "principal_mobius", 1, "theorem1-exhaustive (counterexample 1243)"),
+    ("soundness", "verify_certificate", False,
+     "rule-soundness-exhaustive (invalid witness for 123)"),
+    ("soundness", "principal_mobius", 1, "rule-soundness-exhaustive (false certificate for 123)"),
+    ("cor-sum", "principal_mobius", 1, "cor-sum-sampled (mu(1,123) != 0)"),
+    ("pairs", "principal_mobius", 1, "pair-theorems-sampled (mu(1,2135764) != 0)"),
+    ("base-annihilators", "principal_mobius", 1, "base-annihilators-sampled (mu(1,215463) != 0)"),
+    ("non-annihilators", "principal_mobius", 1, "non-annihilator-separation (mu(1,214635) != 0)"),
+    ("non-annihilators", "principal_mobius", 0,
+     "non-annihilator-separation (mu(1, 24153_2[235614]) == 0)"),
+    ("pro-form", "check_pro_form", False, "pro-form-identity (sigma=1 pi=132 seed=0)"),
+    ("eq-cancel", "check_eq_cancel_thm1", False, "eq-cancel-theorem1 (failed at 1243)"),
+    ("planted-posets", "check_fac_nd", False, "fac-nd-planted (narrow seed=0)"),
+    ("planted-posets", "check_fac_del", False, "fac-nd-planted (deletion seed=0)"),
+    ("figure-cores", "check_fac_nd", False, "figure-diamond-cores (214653 core check failed)"),
+    ("poset-oracle", "mobius_poset", 99, "generic-poset-oracle (mu(1,1): 1 != 99)"),
+]
+
+#: (suite, hosts it evaluates, hosts longer than 8, sha256 of their list's repr)
+SAMPLED_HOSTS = [
+    ("cor-sum", 2499, 0, "e3c8cbbd752bacae5f677fc83247d24b47ab48c2f20fd7c65cf535740c998e3f"),
+    ("pairs", 160, 112, "a4627cff26d2913392be39aa53d7b224ce55f963dade7de2a55d277bea60a124"),
+    ("base-annihilators", 69, 0,
+     "bb01b697efde0a1a7a35a074b65566bc827efee9deb52a2e367625839ce489fe"),
+]
+
+
 class TestSuiteRunner:
     def test_names(self):
-        assert len(SUITE_NAMES) == 11
-        assert len(set(SUITE_NAMES)) == 11
+        assert SUITE_NAMES == (
+            "theorem1",
+            "soundness",
+            "cor-sum",
+            "pairs",
+            "base-annihilators",
+            "non-annihilators",
+            "pro-form",
+            "eq-cancel",
+            "planted-posets",
+            "figure-cores",
+            "poset-oracle",
+        )
+
+    @pytest.mark.parametrize(
+        "suite, name, value, line",
+        FORCED_FAILURES,
+        ids=[f"{suite}-{name}-{value}" for suite, name, value, _ in FORCED_FAILURES],
+    )
+    def test_forced_failure_line(self, monkeypatch, suite, name, value, line):
+        monkeypatch.setattr(verify, name, lambda *args, **kwargs: value)
+        assert run_theorem_suites(7, [suite]).to_text() == f"FAIL {line}\nFAILED\n"
+
+    @pytest.mark.parametrize("suite, count, longer, digest", SAMPLED_HOSTS)
+    def test_sampled_host_order(self, monkeypatch, suite, count, longer, digest):
+        hosts = []
+        monkeypatch.setattr(verify, "principal_mobius", lambda pi, cache: hosts.append(pi) or 0)
+        assert run_theorem_suites(7, [suite]).all_passed
+        assert len(hosts) == count
+        assert sum(len(h) > 8 for h in hosts) == longer
+        assert hashlib.sha256(repr(hosts).encode()).hexdigest() == digest
+
+    def test_suites_run_through_their_module_attributes(self, monkeypatch):
+        # bench/tracing.py times each suite by wrapping verify._suite_<name>;
+        # a runner that kept the functions themselves would skip the wrapper
+        for name in SUITE_NAMES:
+            attr = "_suite_" + name.replace("-", "_")
+            assert callable(getattr(verify, attr, None)), attr
+            monkeypatch.setattr(verify, attr, lambda n_max, tables: "sentinel")
+        report = run_theorem_suites(4)
+        assert [(r.passed, r.detail) for r in report.results] == [(False, "sentinel")] * 11
+        assert report.to_text().startswith("FAIL theorem1-exhaustive (sentinel)\n")
 
     def test_full_run_passes(self):
         report = run_theorem_suites(n_max=5)
