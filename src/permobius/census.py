@@ -308,6 +308,8 @@ def zero_density(
     if audit and done:
         raise PermError("checkpoint resume cannot replay audit lines; rerun fresh")
     pending = [c for c in chunks if c not in done]
+    if checkpoint and pending:  # an unwritable path fails here, before the level build
+        _save_checkpoint(checkpoint, n, done)
 
     results: dict[Perm, dict] = dict(done)
     tables = LevelTables(n) if pending else None

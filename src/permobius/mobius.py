@@ -287,8 +287,6 @@ def mobius(sigma: Perm, pi: Perm) -> int:
     """mu(sigma, pi) by the definitional recursion, evaluated bottom-up."""
     if not sigma:
         raise PermError("lower bound must be nonempty")
-    if sigma == pi:
-        return 1
     if not contains(sigma, pi):
         return 0
     return _interval_mobius(sigma, pi)

@@ -70,26 +70,26 @@ class TippedCore:
 def check_tipped_core(
     P: FinitePosetView, x: Hashable, y: Hashable, core: TippedCore
 ) -> None:
-    """Raise CoreInvariantError unless the core matches its definition on [x, y]."""
-    half_open = set(P.interval(x, y)) - {y}
+    """Raise CoreInvariantError unless the core matches its definition on [x, y].
+
+    A diamond core (z, z', w), none of them x, needs [x, y) = [x, z] U [x, z']
+    and [x, z] n [x, z'] = [x, w].  A narrow core z is checked as the diamond
+    whose z, z' and w coincide, which leaves [x, y) = [x, z].
+    """
     if core.kind == "narrow":
-        if core.z == x:
-            raise CoreInvariantError("narrow core must differ from the bottom")
-        if half_open != set(P.interval(x, core.z)):
-            raise CoreInvariantError("[x,y) != [x,z]")
-        return
-    if core.kind == "diamond":
+        z = zp = w = core.z
+    elif core.kind == "diamond":
         z, zp, w = core.z, core.z_prime, core.w
-        if x in (z, zp, w):
-            raise CoreInvariantError("diamond core elements must differ from the bottom")
-        dz = set(P.interval(x, z))
-        dzp = set(P.interval(x, zp))
-        if half_open != dz | dzp:
-            raise CoreInvariantError("[x,y) != [x,z] U [x,z']")
-        if dz & dzp != set(P.interval(x, w)):
-            raise CoreInvariantError("[x,z] n [x,z'] != [x,w]")
-        return
-    raise CoreInvariantError(f"unknown core kind {core.kind!r}")
+    else:
+        raise CoreInvariantError(f"unknown core kind {core.kind!r}")
+    if x in (z, zp, w):
+        raise CoreInvariantError("core elements must differ from the bottom")
+    dz = set(P.interval(x, z))
+    dzp = set(P.interval(x, zp))
+    if set(P.interval(x, y)) - {y} != dz | dzp:
+        raise CoreInvariantError("[x,y) != [x,z] U [x,z']")
+    if dz & dzp != set(P.interval(x, w)):
+        raise CoreInvariantError("[x,z] n [x,z'] != [x,w]")
 
 
 def check_fac_nd(
@@ -366,22 +366,18 @@ _SUM_MIDDLES = tuple(
     for beta in itertools.permutations(range(1, lb + 1))
 )
 
-#: eq-cancel's longest pi: LevelTables(8) keep the closures of its deletions.
-_EQ_CANCEL_MAX = 7
-
-# Each suite takes (n_max, tables), tables being the run's LevelTables (None
-# before the first suite that reads them), and returns the text of its first
-# failure, or None if every check passed.
+# Each suite takes (n_max, tables), tables being the run's LevelTables, and
+# returns the text of its first failure, or None if every check passed.
 
 
-def _suite_theorem1(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+def _suite_theorem1(n_max: int, tables: LevelTables) -> Optional[str]:
     for pi in _perms_up_to(n_max):
         if has_opposing_adjacencies(pi) and principal_mobius(pi, cache=tables) != 0:
             return f"counterexample {fmt(pi)}"
     return None
 
 
-def _suite_soundness(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+def _suite_soundness(n_max: int, tables: LevelTables) -> Optional[str]:
     for pi in _perms_up_to(n_max):
         cert = certify_zero(pi)
         if cert is None:
@@ -402,20 +398,20 @@ def _first_nonzero(hosts: Iterable[Perm], tables: LevelTables) -> Optional[str]:
     return None
 
 
-def _suite_cor_sum(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+def _suite_cor_sum(n_max: int, tables: LevelTables) -> Optional[str]:
     return _first_nonzero(_inflations(_SUM_MIDDLES, 4), tables)
 
 
-def _suite_pairs(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+def _suite_pairs(n_max: int, tables: LevelTables) -> Optional[str]:
     # the four pairs beyond (12, 21)
     return _first_nonzero(_inflations(ANNIHILATOR_PAIRS[1:], 3), tables)
 
 
-def _suite_base_annihilators(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+def _suite_base_annihilators(n_max: int, tables: LevelTables) -> Optional[str]:
     return _first_nonzero(_inflations([(b,) for b in BASE_ANNIHILATORS], 3), tables)
 
 
-def _suite_non_annihilators(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+def _suite_non_annihilators(n_max: int, tables: LevelTables) -> Optional[str]:
     if principal_mobius(parse("214635"), cache=tables) != 0:
         return "mu(1,214635) != 0"
     host_base = parse("24153")
@@ -426,7 +422,7 @@ def _suite_non_annihilators(n_max: int, tables: Optional[LevelTables]) -> Option
     return None
 
 
-def _suite_pro_form(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+def _suite_pro_form(n_max: int, tables: LevelTables) -> Optional[str]:
     for interval in ("1 132", "1 2413", "12 2413", "1 21354", "21 35142"):
         sigma, pi = map(parse, interval.split())
         for seed in range(50):
@@ -435,15 +431,15 @@ def _suite_pro_form(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
     return None
 
 
-def _suite_eq_cancel(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
-    for pi in _perms_up_to(min(n_max, _EQ_CANCEL_MAX)):
+def _suite_eq_cancel(n_max: int, tables: LevelTables) -> Optional[str]:
+    for pi in _perms_up_to(min(n_max, tables.n - 1)):
         ups, downs = adjacencies(pi)
         if ups and downs and not check_eq_cancel_thm1(pi, ups[0], downs[0], tables):
             return f"failed at {fmt(pi)}"
     return None
 
 
-def _suite_planted_posets(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+def _suite_planted_posets(n_max: int, tables: LevelTables) -> Optional[str]:
     for seed in range(100):
         for kind, plant in (("narrow", planted_narrow_poset), ("diamond", planted_diamond_poset)):
             if not check_fac_nd(*plant(seed)):
@@ -453,7 +449,7 @@ def _suite_planted_posets(n_max: int, tables: Optional[LevelTables]) -> Optional
     return None
 
 
-def _suite_figure_cores(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+def _suite_figure_cores(n_max: int, tables: LevelTables) -> Optional[str]:
     P, core, elements_ok = reconstruct_214653_diamond()
     if not elements_ok:
         return "214653 survivor set mismatch"
@@ -465,7 +461,7 @@ def _suite_figure_cores(n_max: int, tables: Optional[LevelTables]) -> Optional[s
     return None
 
 
-def _suite_poset_oracle(n_max: int, tables: Optional[LevelTables]) -> Optional[str]:
+def _suite_poset_oracle(n_max: int, tables: LevelTables) -> Optional[str]:
     for pi in _perms_up_to(5):
         # every [sigma, pi] is an interval of the one poset [1, pi]
         P = interval_as_poset(P1, pi)
@@ -477,22 +473,22 @@ def _suite_poset_oracle(n_max: int, tables: Optional[LevelTables]) -> Optional[s
     return None
 
 
-#: The suites in run order: each suite, its report name, whether it reads
-#: the level tables, and the detail of its PASS line.  A suite is called
-#: through the module attribute of its name, so a wrapper installed on that
-#: attribute, such as the benchmark's tracer, sees the call.
+#: The suites in run order: each suite, its report name and the detail of
+#: its PASS line.  A suite is called through the module attribute of its
+#: name, so a wrapper installed on that attribute, such as the benchmark's
+#: tracer, sees the call.
 _SUITES = (
-    (_suite_theorem1, "theorem1-exhaustive", True, "n<={n_max}"),
-    (_suite_soundness, "rule-soundness-exhaustive", True, "n<={n_max}"),
-    (_suite_cor_sum, "cor-sum-sampled", True, "|alpha|+|beta|<=4, |tau|<=4"),
-    (_suite_pairs, "pair-theorems-sampled", True, "4 pairs, |tau|<=3"),
-    (_suite_base_annihilators, "base-annihilators-sampled", True, "3 bases, |tau|<=3"),
-    (_suite_non_annihilators, "non-annihilator-separation", True, ""),
-    (_suite_pro_form, "pro-form-identity", False, "50 seeds per interval"),
-    (_suite_eq_cancel, "eq-cancel-theorem1", True, "n<={eq_cancel_max}"),
-    (_suite_planted_posets, "fac-nd-planted", False, "100 seeds"),
-    (_suite_figure_cores, "figure-diamond-cores", False, ""),
-    (_suite_poset_oracle, "generic-poset-oracle", False, "n<=5"),
+    (_suite_theorem1, "theorem1-exhaustive", "n<={n_max}"),
+    (_suite_soundness, "rule-soundness-exhaustive", "n<={n_max}"),
+    (_suite_cor_sum, "cor-sum-sampled", "|alpha|+|beta|<=4, |tau|<=4"),
+    (_suite_pairs, "pair-theorems-sampled", "4 pairs, |tau|<=3"),
+    (_suite_base_annihilators, "base-annihilators-sampled", "3 bases, |tau|<=3"),
+    (_suite_non_annihilators, "non-annihilator-separation", ""),
+    (_suite_pro_form, "pro-form-identity", "50 seeds per interval"),
+    (_suite_eq_cancel, "eq-cancel-theorem1", "n<={eq_cancel_max}"),
+    (_suite_planted_posets, "fac-nd-planted", "100 seeds"),
+    (_suite_figure_cores, "figure-diamond-cores", ""),
+    (_suite_poset_oracle, "generic-poset-oracle", "n<=5"),
 )
 
 SUITE_NAMES = tuple(
@@ -506,12 +502,12 @@ def run_theorem_suites(n_max: int = 6, suites: Optional[Sequence[str]] = None) -
     Each suite returns its first failure or None, and this loop turns that
     into the suite's one ``CheckResult``: FAIL with the failure as its
     detail, or PASS with the detail ``_SUITES`` gives it.  One
-    ``LevelTables(8)``, built before the first selected suite that reads
-    it, serves those suites as a full principal cache: values up to length
-    8, which covers the exhaustive suites and the cor-sum and
-    base-annihilator hosts, are read off the tables, and longer hosts are
-    memoized in them.  The eq-cancel suite, which stops at length 7, reads
-    their closures.
+    ``LevelTables(8)`` per run serves every suite as a full principal cache:
+    values up to length 8, which covers the exhaustive suites and the
+    cor-sum and base-annihilator hosts, are read off the tables, and longer
+    hosts are memoized in them.  The eq-cancel suite reads their closures,
+    which reach length 7.  A subset of suites that reads neither, such as
+    pro-form alone, still builds the tables.
     """
     if n_max < 1:
         raise PermError(f"n_max must be at least 1, got {n_max}")
@@ -521,14 +517,12 @@ def run_theorem_suites(n_max: int = 6, suites: Optional[Sequence[str]] = None) -
     unknown = wanted - set(SUITE_NAMES)
     if unknown:
         raise PermError(f"unknown suites: {sorted(unknown)}")
-    fields = {"n_max": n_max, "eq_cancel_max": min(n_max, _EQ_CANCEL_MAX)}
-    tables = None
+    tables = LevelTables(8)
+    fields = {"n_max": n_max, "eq_cancel_max": min(n_max, tables.n - 1)}
     results = []
-    for (suite, report, reads_tables, passed), name in zip(_SUITES, SUITE_NAMES):
+    for (suite, report, passed), name in zip(_SUITES, SUITE_NAMES):
         if name not in wanted:
             continue
-        if reads_tables and tables is None:
-            tables = LevelTables(8)
         failure = globals()[suite.__name__](n_max, tables)
         detail = passed.format(**fields) if failure is None else failure
         results.append(CheckResult(report, failure is None, detail))

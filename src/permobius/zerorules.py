@@ -76,14 +76,12 @@ def _pair_images(pairs: tuple[tuple[Perm, Perm], ...]) -> tuple:
     )
 
 
-_PAIR_IMAGES = _pair_images(ANNIHILATOR_PAIRS)
+_PAIR_IMAGES = _pair_images(ANNIHILATOR_PAIRS[1:])  # not (12, 21): Theorem 1 is rule 1
 _CONJECTURED_IMAGES = _pair_images(CONJECTURED_PAIRS)
 _PAIR_MEMBERS = frozenset(
     q for _pair, images in _PAIR_IMAGES + _CONJECTURED_IMAGES for _g, *qs in images for q in qs
 )
-_WINDOW_LENGTHS = frozenset(map(len, BASE_ANNIHILATORS)) | frozenset(
-    len(p) for pair in ANNIHILATOR_PAIRS + CONJECTURED_PAIRS for p in pair
-)
+_WINDOW_LENGTHS = frozenset(map(len, BASE_ANNIHILATORS)) | frozenset(map(len, _PAIR_MEMBERS))
 
 
 @dataclass(frozen=True)
@@ -200,9 +198,7 @@ def verify_certificate(
     try:
         if isinstance(cert, OpposingAdjacencies):
             i, j = cert.up_index, cert.down_index
-            if not (1 <= i < len(pi)) or not (1 <= j < len(pi)):
-                return False
-            return pi[i] == pi[i - 1] + 1 and pi[j] == pi[j - 1] - 1
+            return _window_copies(pi, (1, 2), (i, i + 1)) and _window_copies(pi, (2, 1), (j, j + 1))
         if isinstance(cert, SumAnnihilator):
             q = apply_symmetry(cert.symmetry, pi)
             (s, e), p = cert.window, cert.split

@@ -149,6 +149,32 @@ class TestCensus:
         assert (code, out, built) == (EXIT_DOMAIN, "", [])
         assert err == f"error: workers must be at least 1, got {workers}\n"
 
+    def test_unwritable_checkpoint_refused_before_the_level_build(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        built = []
+        monkeypatch.setattr(census, "LevelTables", built.append)
+        path = tmp_path / "missing" / "ck.json"
+        code, out, err = run(capsys, "census", "--n", "4", "--checkpoint", str(path))
+        assert (code, out, built) == (EXIT_DOMAIN, "", [])
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_failed_level_build_keeps_the_loaded_chunks(self, capsys, monkeypatch, tmp_path):
+        # the checkpoint saved before the level build holds every chunk loaded
+        path = tmp_path / "ck.json"
+        assert run(capsys, "census", "--n", "5", "--checkpoint", str(path))[0] == EXIT_OK
+        data = json.loads(path.read_text())
+        data["chunks"] = data["chunks"][::2]
+        path.write_text(json.dumps(data))
+
+        def refuse(n):
+            raise permcore.BudgetError("no room")
+
+        monkeypatch.setattr(census, "LevelTables", refuse)
+        code, out, err = run(capsys, "census", "--n", "5", "--checkpoint", str(path))
+        assert (code, out, err) == (EXIT_BUDGET, "", "error: no room\n")
+        assert json.loads(path.read_text()) == data
+
     def test_level_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(permcore, "BUDGET_BYTES", 64)
         code, out, err = run(capsys, "census", "--n", "6")

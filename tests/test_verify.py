@@ -122,6 +122,28 @@ class TestPlantedGenerators:
         with pytest.raises(CoreInvariantError):
             check_fac_nd(P, x, y, TippedCore("narrow", z=x))
 
+    def test_narrow_core_is_its_degenerate_diamond(self):
+        # a narrow core z passes exactly when the diamond (z, z, z) does
+        cases = [planted_narrow_poset(seed) for seed in range(100)]
+        P, x, y, _core = planted_narrow_poset(7)
+        wrong = min(e for e in P.elements if e not in (x, y))
+        cases += [(P, x, y, TippedCore("narrow", z=wrong)), (P, x, y, TippedCore("narrow", z=x))]
+        verdicts = []
+        for P, x, y, core in cases:
+            z = core.z
+            narrow = _core_holds(P, x, y, TippedCore("narrow", z))
+            assert _core_holds(P, x, y, TippedCore("diamond", z, z, z)) == narrow, (x, y, z)
+            verdicts.append(narrow)
+        assert verdicts == [True] * 100 + [False] * 2
+
+
+def _core_holds(P, x, y, core):
+    try:
+        check_tipped_core(P, x, y, core)
+    except CoreInvariantError:
+        return False
+    return True
+
 
 class TestChecks:
     def test_pro_form_passes(self):

@@ -1,7 +1,10 @@
 import functools
 import hashlib
 import itertools
+import os
 import random
+
+import pytest
 
 from permobius import (
     ANNIHILATOR_PAIRS,
@@ -160,6 +163,18 @@ class TestSoundness:
         bad_sum = SumAnnihilator(window=(1, 4), split=2, symmetry="id")
         assert not verify_certificate(parse("2413"), bad_sum)
 
+    @pytest.mark.parametrize(
+        "up, down",
+        [(0, 6), (-1, 6), (9, 6), (2, 0), (2, -1), (2, 9)]
+        + [(6, 2), (2, 2), (6, 6)]
+        + [(2.0, 6), (2, 6.0), ("2", 6), (2, None), (2.5, 6)],
+    )
+    def test_verify_rejects_bad_adjacency_indices(self, up, down):
+        # 367249815 has one up-adjacency, 67 at 2, and one down-adjacency, 98 at 6
+        pi = parse("367249815")
+        assert verify_certificate(pi, OpposingAdjacencies(2, 6))
+        assert not verify_certificate(pi, OpposingAdjacencies(up, down))
+
 
 class TestCertificatePin:
     def test_certificate_lines_up_to_7(self):
@@ -178,6 +193,30 @@ class TestCertificatePin:
         assert len(lines) == 40320
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "47d0a2aa44ae2ffcccae98699d86fce9579742516f86b0ab5c169f815e77a8ea"
+
+    @pytest.mark.skipif(
+        os.environ.get("PERMOBIUS_STRETCH") != "1",
+        reason="stretch; set PERMOBIUS_STRETCH=1 to run (about 9 s each)",
+    )
+    @pytest.mark.parametrize(
+        "conjectured, digest",
+        [
+            (False, "8c5a6eceba76ede7b0f55f4b6018208e5431a8677a116fd0d1c27dcdbdcfda56"),
+            (True, "949c4d154bd80e19fc617a470500f6c66b88791a56037e01c5f64b86931db2c1"),
+        ],
+        ids=["plain", "conjectured"],
+    )
+    def test_certificate_lines_of_length_9(self, conjectured, digest):
+        # length 9 is the first at which the conjectured pair changes a line
+        try:
+            lines = [
+                certificate_line(pi, certify_zero(pi, include_conjectured=conjectured))
+                for pi in perms_of(9)
+            ]
+        finally:
+            certify_zero.cache_clear()  # else it keeps 362,880 entries per flag
+        assert len(lines) == 362880
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
     def test_conjectured_certificate_lines_up_to_7(self):
         # the conjectured pair's members need 9 points, so through length 7
