@@ -2,28 +2,39 @@
 
 The permutation evaluator builds the interval [sigma, pi] once, top-down by
 single-point deletion on ``bytes``, one level per length, and fills values
-bottom-up in one walk.  Only the nonzero-valued elements are numbered; each
-element's closure is the Python-int bitset of the numbered elements at or
-below it.  The values are held as signed bit planes: ``classes[s * 2**j]``
-(s = +1 or -1) is the bitset of the numbered elements whose value has sign
-s and bit j set in its magnitude.  mu(sigma, tau) is then one popcount per
-plane of the OR of its children's closures (``_value``), so the work per
-element grows with the bits of the largest value, not with the number of
-distinct values.  ``LevelTables``, which the census and the verification
-suites read, numbers the same layout over every permutation shorter than n
-instead of one interval; no other module reads the layout's helpers.
-``interval_mobius`` returns every value of that walk.  An optional cache
-memoizes principal values mu(1, pi) only, keyed by the symmetry-canonical
-form of pi, which is sound because the principal Mobius function is
-symmetry-invariant; values with another lower bound are not cached.
-Interior zeros are computed like every other value; the earlier recursion
-that skipped rule-certified zeros survives as a test oracle.
+bottom-up one whole level at a time.  Only the nonzero-valued elements are
+numbered; each element's closure is the Python-int bitset of the numbered
+elements at or below it.  The values are held as signed bit planes:
+``classes[s * 2**j]`` (s = +1 or -1) is the bitset of the numbered elements
+whose value has sign s and bit j set in its magnitude.  The OR of tau's
+children's closures is the bitset of the numbered elements strictly below
+tau, and mu(sigma, tau) is minus the sum over the planes of each plane's
+weight times the popcount of that OR in the plane.  A level's ORs come from
+one C-level pass over its children, and ``_values`` sums a whole level with
+one chain of maps per plane, before any of its values enter the planes
+(``_enter_level``): exact, because a level's elements are incomparable.
+Python bytecode then runs once per level and once per nonzero value, not
+per element or per edge, and the work per element grows with the bits of
+the largest value, not with the number of distinct values.
+``LevelTables``, which the census and the verification suites read, numbers
+the same layout over every permutation shorter than n instead of one
+interval, in blocks of permutations; no other module reads the layout's
+helpers.  ``interval_mobius`` returns every value of that walk.  An
+optional cache memoizes principal values mu(1, pi) only, keyed by the
+symmetry-canonical form of pi, which is sound because the principal Mobius
+function is symmetry-invariant; values with another lower bound are not
+cached.  Interior zeros are computed like every other value; the earlier
+recursion that skipped rule-certified zeros survives as a test oracle.
 """
 from __future__ import annotations
 
 import itertools
-import sys
-from typing import Hashable, Iterable, Iterator, Mapping, Optional
+from functools import reduce
+from itertools import compress, repeat
+from math import factorial
+from operator import and_, mul, or_, sub
+from sys import getsizeof
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, Optional
 
 from . import permcore
 from .permcore import (
@@ -34,6 +45,12 @@ from .permcore import (
     contains,
     deletion_levels,
     deletions,
+    _BLOCK,
+    _BYTES,
+    _LIST,
+    _PTR,
+    _TUPLE,
+    _children,
     _deletions,
     _over_budget,
 )
@@ -93,49 +110,87 @@ def _value(below: int, classes: Mapping[int, int]) -> int:
     return -sum(v * (below & m).bit_count() for v, m in classes.items())
 
 
+def _values(belows: Collection[int], classes: Mapping[int, int]) -> list[int]:
+    """``_value`` of each bitset of ``belows``, a whole level at once: one
+    chain of maps per signed bit plane, each subtracting that plane's share
+    from the running sums.  ``belows`` is read once per plane."""
+    sums: Iterator[int] = repeat(0, len(belows))
+    for p, m in classes.items():
+        counts = map(int.bit_count, map(and_, belows, repeat(m)))
+        sums = map(sub, sums, map(mul, repeat(p), counts))
+    return list(sums)
+
+
+def _enter_level(
+    classes: dict[int, int],
+    closures: dict[bytes, int],
+    level: Iterable[bytes],
+    values: list[int],
+    bit: int,
+) -> int:
+    """Number the nonzero ``values`` of ``level`` from ``bit`` up, in level
+    order: enter each into the planes and OR its bit into its closure in
+    ``closures``.  Returns the next free bit.  All of a level's values come
+    first, which is exact because its elements are incomparable."""
+    for tau, value in compress(zip(level, values), values):
+        _enter(classes, value, bit)
+        closures[tau] |= bit
+        bit <<= 1
+    return bit
+
+
+def _levels(sigma: Perm, pi: Perm) -> Iterator[tuple[dict[bytes, int], list[int]]]:
+    """Yield the levels of [sigma, pi] bottom-up, lengths ascending, each as
+    a dict from every tau of that length below pi (``bytes``) to its
+    closure, with the list of the values mu(sigma, tau) in the dict's order;
+    nothing unless sigma <= pi.
+
+    Only the nonzero-valued elements are numbered, in walk order, and a
+    closure is the bitset of those at or below tau: 0 outside the interval.
+    ``deletion_levels`` gives the levels and their children; each level's
+    dict then takes its closures in place, the OR of its children's, so
+    only two levels' closures are alive.  Since sigma has value 1, tau lies
+    in the interval exactly when that OR is nonzero.  Raises BudgetError
+    once the closures of the two levels held pass what the deletion closure
+    left of the budget: a level's are counted before they are made, each
+    as wide as the next free bit, and exactly once its values are entered.
+    A level's values list is made once its children are freed, k >= 5
+    pointers per element at length k (and below length 5 every value is a
+    cached small int), so it needs no count of its own.
+    """
+    levels, children, left = deletion_levels(pi, len(sigma))
+    lower = levels.pop()
+    start = bytes(sigma)
+    if start not in lower:
+        return
+    lower.update(zip(lower, repeat(0)))
+    lower[start] = 1
+    classes, bit, held = {1: 1}, 2, 0
+    yield lower, list(lower.values())  # sigma's closure and value are both 1
+    for k in range(len(sigma) + 1, len(pi) + 1):
+        level = levels.pop()
+        if held + len(level) * bit.__sizeof__() > left:  # no OR reaches bit
+            _over_budget(pi, len(sigma))
+        kids = [map(lower.__getitem__, children.pop())] * k
+        level.update(zip(level, map(reduce, repeat(or_), zip(*kids))))
+        del kids  # frees the level's children before its values list is made
+        values = _values(level.values(), classes)
+        bit = _enter_level(classes, level, level, values, bit)
+        made = sum(map(int.__sizeof__, filter(None, level.values())))
+        if held + made > left:
+            _over_budget(pi, len(sigma))
+        yield level, values
+        lower, held = level, made
+
+
 def _walk(sigma: Perm, pi: Perm) -> Iterator[tuple[Perm, int, int]]:
     """Yield ``(tau, closure, mu(sigma, tau))`` for each tau of [sigma, pi],
-    bottom-up, lengths ascending; nothing unless sigma <= pi.
-
-    Only the nonzero-valued elements are numbered, in walk order, and
-    ``closure`` is the bitset of those at or below tau.  The deletion
-    closure of pi down to length |sigma| comes from ``deletion_levels``;
-    closures then flow bottom-up with only two adjacent levels alive.  Since
-    sigma has value 1, tau lies in the interval exactly when the OR of its
-    children's closures is nonzero.  Raises BudgetError once the closures
-    of the two levels held pass what the deletion closure left of the budget.
-    """
-    levels, edges, left = deletion_levels(pi, len(sigma))
-    bottom = levels.pop()
-    try:
-        start = bottom.index(bytes(sigma))
-    except ValueError:
-        return
-    # closed[k]: closure of element k of the level below (0 outside), held: their bytes
-    closed, held = [0] * len(bottom), 0
-    closed[start] = 1
-    classes = {1: 1}
-    yield sigma, 1, 1
-    bit = 2
-    while levels:
-        level, rows = levels.pop(), edges.pop()
-        above, made = [], 0
-        for tau, row in zip(level, rows):
-            below = 0
-            for k in row:
-                below |= closed[k]
-            if below:
-                value = _value(below, classes)
-                if value:
-                    _enter(classes, value, bit)
-                    below |= bit
-                    bit <<= 1
-                made += below.__sizeof__()  # getsizeof(below) at a tenth the cost
-                if held + made > left:
-                    _over_budget(pi, len(sigma))
-                yield tuple(tau), below, value
-            above.append(below)
-        closed, held = above, made
+    bottom-up, lengths ascending; nothing unless sigma <= pi.  ``closure``
+    is the bitset of the nonzero-valued elements at or below tau, numbered
+    in walk order (``_levels``)."""
+    for level, values in _levels(sigma, pi):
+        closures = level.values()
+        yield from compress(zip(map(tuple, level), closures, values), closures)
 
 
 class LevelTables:
@@ -146,12 +201,21 @@ class LevelTables:
     closure 0) to the bitset of the nonzero-valued permutations at or below
     it; those are numbered in ascending length, then lexicographic rank.
     ``top`` maps each tau of length n-1 to its value and the tuple of its
-    children's closures.  ``classes`` holds the values of the
+    children's closures, one per deleted value, so a child left by two
+    deletions stands twice.  ``classes`` holds the values of the
     numbered permutations as signed bit planes: ``classes[s * 2**j]`` is the
     bitset of those whose value has sign s and bit j set in its magnitude
-    (``_enter``).  Raises BudgetError once both levels'
-    keys and entries and the two dicts pass ``permcore.BUDGET_BYTES``; a
-    dict's growth within a level is counted when the level ends.
+    (``_enter``).
+
+    A level is built in blocks of ``_BLOCK`` permutations, each block whole:
+    the closures of its children (``permcore._children``), ORed k at a time,
+    then its values (``_values``).  Raises BudgetError once both levels' keys
+    and entries and the two dicts pass ``permcore.BUDGET_BYTES``.  A block's
+    keys, its closures (none reaches the next free bit), its four lists
+    (keys, kids, closures and values) and at length n-1 its entries are
+    counted before it is made; below length n-1 its closures are counted
+    again, exactly, once its values are entered, and a dict's growth within
+    a level once the level ends.
 
     Through ``get``/``put`` the tables are a full principal cache: lengths
     up to n are read off the tables, longer permutations are memoized in
@@ -167,30 +231,34 @@ class LevelTables:
         self.classes: dict[int, int] = {}
         self.memo = MobiusCache()
         closures, top, classes = self.closures, self.top, self.classes
-        getsizeof = sys.getsizeof
         bit, size, budget = 1, 0, permcore.BUDGET_BYTES
         for k in range(1, n):
             # a dict's own size changes only when it resizes: count the two
             # as they were when the level began, and exactly once it is done
             dicts = getsizeof(closures) + getsizeof(top)
-            for tau in map(bytes, itertools.permutations(range(1, k + 1))):
-                kids = tuple([closures[c] for c in _deletions(tau)])
-                below = 0
-                for c in kids:
-                    below |= c
-                mu = _value(below, classes) if k > 1 else 1
+            entry = _BYTES + k + (2 * _TUPLE + (2 + k) * _PTR if k == n - 1 else 0)
+            perms = map(bytes, itertools.permutations(range(1, k + 1)))
+            total = factorial(k)
+            for start in range(0, total, _BLOCK):
+                m = min(_BLOCK, total - start)
+                # the block's keys and entries, its closures (none reaches
+                # bit), and its four lists: keys, kids, closures and values
+                block_bytes = (entry + bit.__sizeof__()) * m + 4 * (_LIST + _PTR * m)
+                if size + dicts + block_bytes > budget:
+                    raise BudgetError(f"level tables for n={n} exceed {budget} bytes")
+                size += entry * m
+                block = list(itertools.islice(perms, m))
+                kids = zip(*[map(closures.__getitem__, _children(block, k))] * k)
                 if k == n - 1:
-                    entry = top[tau] = (mu, kids)
-                    size += getsizeof(tau) + getsizeof(entry) + getsizeof(kids)
+                    kids = list(kids)
+                belows = list(map(reduce, repeat(or_), kids))
+                values = _values(belows, classes) if k > 1 else [1]
+                if k == n - 1:
+                    top.update(zip(block, zip(values, kids)))
                 else:
-                    if mu:
-                        _enter(classes, mu, bit)
-                        below |= bit
-                        bit <<= 1
-                    closures[tau] = below
-                    size += getsizeof(tau) + getsizeof(below)
-                if size + dicts > budget:
-                    break
+                    closures.update(zip(block, belows))
+                    bit = _enter_level(classes, closures, block, values, bit)
+                    size += sum(map(int.__sizeof__, map(closures.__getitem__, block)))
             if size + getsizeof(closures) + getsizeof(top) > budget:
                 raise BudgetError(f"level tables for n={n} exceed {budget} bytes")
 
@@ -249,10 +317,10 @@ def interval_mobius(sigma: Perm, pi: Perm) -> dict[Perm, int]:
 
 
 def _interval_mobius(sigma: Perm, pi: Perm) -> int:
-    """mu(sigma, pi) for sigma <= pi: the last value of the walk."""
-    for _tau, _closure, value in _walk(sigma, pi):
+    """mu(sigma, pi) for sigma <= pi: the value of the top level's one element."""
+    for _level, values in _levels(sigma, pi):
         pass
-    return value
+    return values[0]
 
 
 def principal_mobius(

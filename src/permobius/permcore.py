@@ -4,10 +4,15 @@ A permutation is a tuple of the integers 1..n ("one-line" notation), e.g.
 ``(3, 1, 2)``; the empty tuple is the empty permutation.  All functions are
 pure, and values are immutable and safe to share across workers.  Every
 interval (contiguous positions and values) comes from the one ``intervals``
-scan, which sum splits and simplicity filter.
+scan, which sum splits and simplicity filter.  Patterns of a permutation
+are made on ``bytes``: ``_children`` deletes each value of each pattern of
+a level with one ``translate``, and ``deletion_levels`` folds those
+children, a block of patterns at a time, into the deletion closure that
+the Mobius kernel walks.
 """
 from __future__ import annotations
 
+from itertools import chain, cycle, islice, repeat, tee
 from sys import getsizeof
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
@@ -19,9 +24,10 @@ EMPTY: Perm = ()
 MAX_LEN = 64
 
 #: Bytes, as ``sys.getsizeof`` counts them, that one interval walk or one
-#: level-table build may hold.  pi_22's walk counts 63 MiB and LevelTables(10)
-#: 119 MiB; a random pi of length 30 trips at 1.6M elements and 350 MiB of
-#: RSS, far below the 8 GiB of the 2-core machine this was sized on.
+#: level-table build may hold.  pi_22's walk needs 59 MiB of it (36 MiB of
+#: deletion levels) and LevelTables(10) 124 MiB; a random pi of length 30
+#: trips at 1.9M patterns and about 310 MiB of RSS, far below the 8 GiB of
+#: the 2-core machine this was sized on.
 BUDGET_BYTES = 1 << 28
 
 
@@ -119,16 +125,37 @@ def contains(sigma: Perm, pi: Perm) -> bool:
     return extend(0, 0)
 
 
-#: Deleting value v from a permutation held as ``bytes``: drop the byte
-#: ``_DROP[v]``, then ``translate`` by ``_SHIFT[v]``, which lowers every byte
-#: above v by one.  One table per value up to ``MAX_LEN``.
+#: Deleting value v from a permutation held as ``bytes`` is one
+#: ``translate(_SHIFT[v], _DROP[v])``: it drops the byte v, then lowers
+#: every byte above v by one.  One table per value up to ``MAX_LEN``.
 _DROP = [bytes([v]) for v in range(MAX_LEN + 1)]
 _SHIFT = [bytes(range(v + 1)) + bytes(range(v, 255)) for v in range(MAX_LEN + 1)]
+
+#: ``sys.getsizeof`` of an empty ``bytes``, list and tuple, and of one
+#: pointer: a pattern of length n takes _BYTES + n, a tuple of m items
+#: _TUPLE + _PTR * m.
+_BYTES, _LIST, _TUPLE, _PTR = getsizeof(b""), getsizeof([]), getsizeof(()), tuple.__itemsize__
+
+#: Patterns per block of a level: the deletion closure makes the children
+#: of this many patterns at a time, and ``LevelTables`` ORs their closures.
+_BLOCK = 256
+
+
+def _children(level: Iterable[bytes], k: int) -> Iterator[bytes]:
+    """The single deletions of each pattern of length k in ``level``, k per
+    pattern in turn: value 1 deleted first, value k last.  Two deletions
+    can leave equal children; both are listed."""
+    return map(
+        bytes.translate,
+        chain.from_iterable(map(repeat, level, repeat(k))),
+        cycle(_SHIFT[1 : k + 1]),
+        cycle(_DROP[1 : k + 1]),
+    )
 
 
 def _deletions(tau: bytes) -> set[bytes]:
     """The distinct single deletions of a permutation held as ``bytes``."""
-    return {tau.replace(_DROP[v], b"").translate(_SHIFT[v]) for v in tau}
+    return {tau.translate(_SHIFT[v], _DROP[v]) for v in tau}
 
 
 def deletions(pi: Perm) -> set[Perm]:
@@ -138,44 +165,52 @@ def deletions(pi: Perm) -> set[Perm]:
 
 def deletion_levels(
     pi: Perm, length: int
-) -> tuple[list[list[bytes]], list[list[tuple[int, ...]]], int]:
-    """The patterns of pi of every length from |pi| down to ``length``, and
-    the bytes of ``BUDGET_BYTES`` they leave.
+) -> tuple[list[dict[bytes, bytes]], list[list[bytes]], int]:
+    """The patterns of pi of every length from |pi| down to ``length``, the
+    single deletions of each, and the bytes of ``BUDGET_BYTES`` they leave.
 
-    Built top-down by single-point deletion, one level per length:
-    ``levels[d]`` lists the distinct patterns of length |pi| - d, each as
-    the ``bytes`` of its one-line notation (``tuple`` gives the Perm), and
-    ``edges[d][j]`` holds the indices into ``levels[d + 1]`` of the single
-    deletions of ``levels[d][j]``.  Bytes are counted as ``sys.getsizeof``
-    sees them: each pattern's ``bytes`` and int index and each edge row as
-    they are made, then each level's list and index dict.  Raises
-    BudgetError once they pass the budget, read when the call starts.
+    Built top-down, one level per length: ``levels[d]`` is a dict whose
+    keys are the distinct patterns of length k = |pi| - d, each as the
+    ``bytes`` of its one-line notation (``tuple`` gives the Perm) and mapped
+    to itself.  ``children[d]`` lists the single deletions of its keys in
+    the dict's order, k per key as ``_children`` makes them, each as the
+    very key object of ``levels[d + 1]``: ``children[d][j * k + v - 1]`` is
+    the j-th key with value v deleted.  A level's children are made
+    ``_BLOCK`` keys at a time, and each is folded into the next level as
+    soon as it is made, so no block of fresh copies is ever held.
+
+    Bytes are counted as ``sys.getsizeof`` sees them: each new pattern, and
+    each level's list of children and dict.  The list is counted before the
+    level, with the most room it can grow, and each block's children before
+    the block, as if all were new; once the level is done the list counts
+    its own size, and the dict is counted.  Raises BudgetError once the
+    count passes the budget, read when the call starts.
     """
-    left, header, item = BUDGET_BYTES, getsizeof(()), tuple.__itemsize__
-    levels: list[list[bytes]] = [[bytes(pi)]]
-    edges: list[list[tuple[int, ...]]] = []
-    for n in range(len(pi) - 1, length - 1, -1):
-        unit = getsizeof(bytes(n)) + getsizeof(n)  # a pattern and its int index
-        index: dict[bytes, int] = {}
-        rows = []
-        for tau in levels[-1]:
-            row = []
-            for child in _deletions(tau):
-                k = index.get(child)
-                if k is None:
-                    left -= unit
-                    if left < 0:
-                        _over_budget(pi, length)
-                    k = index[child] = len(index)
-                row.append(k)
-            rows.append(tuple(row))
-            left -= header + item * len(row)
-        levels.append(list(index))
-        edges.append(rows)
-        left -= getsizeof(levels[-1]) + getsizeof(index) + getsizeof(rows)
+    left = BUDGET_BYTES
+    top = bytes(pi)
+    level = {top: top}
+    levels, children = [level], []
+    for k in range(len(pi), length, -1):
+        total, unit = len(level) * k, _BYTES + k - 1
+        room = _LIST + _PTR * (total + (total >> 3) + 8)
+        left -= room
+        index: dict[bytes, bytes] = {}
+        kids: list[bytes] = []
+        parents = iter(level)
+        for start in range(0, total, _BLOCK * k):
+            if left < unit * min(_BLOCK * k, total - start):
+                _over_budget(pi, length)
+            known = len(index)
+            fresh, again = tee(_children(islice(parents, _BLOCK), k))
+            kids.extend(map(index.setdefault, fresh, again))
+            left -= unit * (len(index) - known)
+        left += room - getsizeof(kids) - getsizeof(index)
         if left < 0:
             _over_budget(pi, length)
-    return levels, edges, left
+        level = index
+        levels.append(level)
+        children.append(kids)
+    return levels, children, left
 
 
 def _over_budget(pi: Perm, length: int) -> NoReturn:

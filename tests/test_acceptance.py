@@ -150,7 +150,7 @@ def test_criterion_7_verify_suite():
     os.environ.get("PERMOBIUS_STRETCH") != "1",
     reason=(
         "stretch criterion; set PERMOBIUS_STRETCH=1 to run "
-        "(about 2 s and 63 MiB peak RSS on a 2-core x86-64 machine)"
+        "(about 1.5-2 s and 60 MiB peak RSS on a 2-core x86-64 machine)"
     ),
 )
 def test_criterion_8_length_22_stretch():
@@ -164,7 +164,7 @@ def test_criterion_8_length_22_stretch():
     os.environ.get("PERMOBIUS_STRETCH") != "1",
     reason=(
         "stretch; set PERMOBIUS_STRETCH=1 to run "
-        "(about 6-10 s and 360 MiB peak RSS on a 2-core x86-64 machine)"
+        "(about 5 s and 305 MiB peak RSS on a 2-core x86-64 machine)"
     ),
 )
 def test_default_budget_trips_before_memory_runs_out(capsys):

@@ -335,6 +335,15 @@ class TestLevelTables:
                 checked += 1
         assert checked == 5913
 
+    def test_sampled_lengths_8_and_9_cross_the_blocks(self):
+        # levels 7 and 8 of LevelTables(9) span many blocks, and level 8 is
+        # its top; each value read off them against the interval engine
+        tables = LevelTables(9)
+        rng = random.Random(2409)
+        for n in (8, 9) * 150:
+            pi = tuple(rng.sample(range(1, n + 1), n))
+            assert tables.mobius(pi) == principal_mobius(pi), pi
+
     def test_suite_hosts_of_length_8(self):
         # the cor-sum and base-annihilator suites read these from the top
         # level of the LevelTables(8) that run_theorem_suites builds

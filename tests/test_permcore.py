@@ -224,19 +224,46 @@ class TestDownSet:
 
 class TestDeletionLevels:
     def test_levels_and_edges_exhaustive(self):
+        # each level holds every pattern of its length once, each mapped to
+        # itself; a key's k children, read from its slice of the level's
+        # list, are its deletions of values 1..k in turn, each the very key
+        # object of the next level
         for pi in perms_up_to(6):
-            levels, edges, _ = deletion_levels(pi, 1)
+            levels, children, _ = deletion_levels(pi, 1)
             below = brute_down_set(pi)
-            assert [{tuple(t) for t in level} for level in levels] == [
-                {t for t in below if len(t) == len(pi) - d} for d in range(len(pi))
-            ], pi
-            assert all(len(level) == len(set(level)) for level in levels)
-            for d, rows in enumerate(edges):
-                for tau, row in zip(levels[d], rows, strict=True):
-                    assert sorted(row) == sorted(set(row))
-                    assert {tuple(levels[d + 1][k]) for k in row} == brute_deletions(
-                        tuple(tau)
-                    )
+            want = [{t for t in below if len(t) == len(pi) - d} for d in range(len(pi))]
+            assert [{tuple(t) for t in level} for level in levels] == want, pi
+            assert [len(level) for level in levels] == list(map(len, want)), pi
+            assert all(level[t] is t for level in levels for t in level)
+            assert len(children) == len(levels) - 1
+            for d, kids in enumerate(children):
+                k = len(pi) - d
+                assert len(kids) == k * len(levels[d])
+                for j, tau in enumerate(levels[d]):
+                    row = kids[j * k : (j + 1) * k]
+                    assert {tuple(c) for c in row} == brute_deletions(tuple(tau))
+                    assert [tuple(c) for c in row] == [
+                        pattern_of([x for x in tau if x != v]) for v in range(1, k + 1)
+                    ]
+                    assert all(levels[d + 1][c] is c for c in row)
+
+    def test_levels_wider_than_a_block(self):
+        # [1, pi] for the benchmark's length-12 anchor has levels of 403 and
+        # 455 patterns, so their children are made a block at a time
+        pi = parse("3 6 1 9 4 11 7 2 12 5 10 8")
+        levels, children, _ = deletion_levels(pi, 1)
+        assert max(map(len, levels)) > permcore._BLOCK
+        below = brute_down_set(pi)
+        assert [{tuple(t) for t in level} for level in levels] == [
+            {t for t in below if len(t) == len(pi) - d} for d in range(len(pi))
+        ]
+        for d, kids in enumerate(children):
+            assert [tuple(c) for c in kids] == [
+                pattern_of([x for x in tau if x != v])
+                for tau in levels[d]
+                for v in range(1, len(pi) - d + 1)
+            ]
+        assert interval_mobius((1,), pi)[pi] == -73
 
     def test_stops_at_length(self):
         levels, edges, _ = deletion_levels(parse("2413"), 3)
@@ -265,19 +292,15 @@ class TestDeletionLevels:
     def test_cap_counts_every_level(self, monkeypatch):
         from permobius import BudgetError
 
-        # the count is the bytes and int index of every pattern below the
-        # top, every edge row, and each of those levels' list and index
-        # dict: at that many bytes the 8 elements of [1, 2413] fit, and one
-        # byte less trips
-        levels, edges, left = deletion_levels(parse("2413"), 1)
+        # the count is the bytes of every pattern below the top, and each
+        # level's dict and list of children: at that many bytes the 8
+        # elements of [1, 2413] fit, and one byte less trips
+        levels, children, left = deletion_levels(parse("2413"), 1)
         used = permcore.BUDGET_BYTES - left
         getsizeof = sys.getsizeof
         assert used == sum(
-            getsizeof(level)
-            + getsizeof({t: 0 for t in level})
-            + sum(getsizeof(t) + getsizeof(1) for t in level)
-            for level in levels[1:]
-        ) + sum(getsizeof(rows) + sum(map(getsizeof, rows)) for rows in edges)
+            getsizeof(level) + sum(map(getsizeof, level)) for level in levels[1:]
+        ) + sum(map(getsizeof, children))
         monkeypatch.setattr(permcore, "BUDGET_BYTES", used)
         assert deletion_levels(parse("2413"), 1)[2] == 0
         assert sum(map(len, deletion_levels(parse("2413"), 1)[0])) == 8

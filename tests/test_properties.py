@@ -4,7 +4,7 @@ certificate against a brute-force scan of all 8 symmetric images."""
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from permobius import (
@@ -15,12 +15,20 @@ from permobius import (
     certify_zero,
     direct_sum,
     has_opposing_adjacencies,
+    interval_mobius,
     mobius,
     pattern_of,
     principal_mobius,
     permcore,
 )
-from oracles import brute_mobius, brute_sum_split, brute_symmetry, skew_sum
+from oracles import (
+    brute_contains,
+    brute_down_set,
+    brute_mobius,
+    brute_sum_split,
+    brute_symmetry,
+    skew_sum,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -60,11 +68,32 @@ def _join_blocks(blocks):
     return pi
 
 
-def block_sums():
-    """2-6 random blocks joined left to right by direct or skew sums, which
-    plants sum splits of pi (direct) and of its reverse (skew)."""
+def block_sums(max_blocks=6):
+    """2 to ``max_blocks`` random blocks joined left to right by direct or
+    skew sums, which plants sum splits of pi (direct) and of its reverse
+    (skew)."""
     blocks = st.tuples(perms(max_size=5), st.booleans())
-    return st.lists(blocks, min_size=2, max_size=6).map(_join_blocks)
+    return st.lists(blocks, min_size=2, max_size=max_blocks).map(_join_blocks)
+
+
+@seed(24)
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(perms(min_size=6, max_size=8), block_sums(max_blocks=4)).filter(
+        lambda p: 6 <= len(p) <= 8
+    ),
+    st.data(),
+)
+def test_interval_values_match_brute_on_wide_levels(pi, data):
+    # levels of up to 70 elements, wider than the exhaustive |pi| <= 5
+    # check reaches; sigma is any pattern of pi, 1 and pi included
+    size = data.draw(st.integers(1, len(pi)))
+    positions = sorted(data.draw(st.permutations(range(len(pi))))[:size])
+    sigma = pattern_of([pi[p] for p in positions])
+    got = interval_mobius(sigma, pi)
+    assert got.keys() == {t for t in brute_down_set(pi) if brute_contains(sigma, t)}
+    memo = {}
+    assert got == {t: brute_mobius(sigma, t, memo) for t in got}
 
 
 @PROPERTY_SETTINGS

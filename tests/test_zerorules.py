@@ -113,16 +113,43 @@ class TestPairCert:
             assert verify_certificate(pi, cert)
             assert principal_mobius(pi) == 0
 
+    @pytest.mark.parametrize(
+        "text, cert",
+        [
+            ("1342756", AnnihilatorPair(((2, 1, 3), (2, 4, 3, 1)), "r", (5, 7), (1, 4))),
+            ("13268547", AnnihilatorPair(((3, 1, 2), (2, 3, 5, 1, 4)), "ir", (1, 3), (4, 8))),
+            ("13427856", AnnihilatorPair(((2, 1, 4, 3), (2, 4, 3, 1)), "r", (5, 8), (1, 4))),
+        ],
+    )
+    def test_proved_pair_by_value(self, text, cert):
+        # hosts that only a proved pair certifies: no earlier rule fires, so
+        # the pair, its symmetry and both windows are pinned
+        pi = parse(text)
+        assert certify_zero(pi) == cert
+        assert verify_certificate(pi, cert)
+        assert principal_mobius(pi) == 0
+
+    def test_longest_proved_pair_on_a_length_10_host(self):
+        # no host of length <= 9 is certified by 25134 and 23514; the skew
+        # sum of the two is, and the pair rule is the one that fires
+        pair = ((2, 5, 1, 3, 4), (2, 3, 5, 1, 4))
+        pi = inflate_at(parse("21"), [1, 2], list(pair))
+        assert pi == parse("7 10 6 8 9 2 3 5 1 4")
+        cert = certify_zero(pi)
+        assert cert == AnnihilatorPair(pair, "id", (1, 5), (6, 10))
+        assert verify_certificate(pi, cert)
+        assert principal_mobius(pi) == 0
+
     def test_conjectured_flag(self):
-        # host built to contain disjoint interval copies of 312 and 235614
+        # host built to contain disjoint interval copies of 312 and 235614:
+        # only the conjectured pair certifies it, and only behind the flag
         pi = inflate_at(
             direct_sum(parse("21"), parse("21")), [1, 3], [parse("312"), parse("235614")]
         )
-        base = certify_zero(pi)
-        with_conj = certify_zero(pi, include_conjectured=True)
-        if base is None and with_conj is not None:
-            assert isinstance(with_conj, AnnihilatorPair)
-            assert with_conj.pair == (parse("312"), parse("235614"))
+        assert certify_zero(pi) is None
+        assert certify_zero(pi, include_conjectured=True) == AnnihilatorPair(
+            (parse("312"), parse("235614")), "id", (1, 3), (5, 10)
+        )
 
 
 class TestSoundness:
