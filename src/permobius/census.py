@@ -22,6 +22,7 @@ recurrences at every n.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -313,22 +314,19 @@ def zero_density(
 
     results: dict[Perm, dict] = dict(done)
     tables = LevelTables(n) if pending else None
-    if workers == 1 or len(pending) <= 1:
-        _worker_init(n, audit, tables)
-        for c in pending:
-            results[c] = _scan_chunk(c)
+    with contextlib.ExitStack() as stack:
+        if workers == 1 or len(pending) <= 1:
+            _worker_init(n, audit, tables)
+            scan = map
+        else:
+            pool = multiprocessing.Pool(
+                min(workers, len(pending)), initializer=_worker_init, initargs=(n, audit, tables)
+            )
+            scan = stack.enter_context(pool).imap_unordered
+        for res in scan(_scan_chunk, pending):
+            results[res["chunk"]] = res
             if checkpoint:
                 _save_checkpoint(checkpoint, n, results)
-    else:
-        with multiprocessing.Pool(
-            min(workers, len(pending)),
-            initializer=_worker_init,
-            initargs=(n, audit, tables),
-        ) as pool:
-            for res in pool.imap_unordered(_scan_chunk, pending):
-                results[res["chunk"]] = res
-                if checkpoint:
-                    _save_checkpoint(checkpoint, n, results)
 
     zeros, certified, simple, simple_nonzero, opposing, adjacency_free = (
         sum(results[c][k] for c in chunks) for k in _COUNT_KEYS

@@ -19,7 +19,8 @@ the largest value, not with the number of distinct values.
 ``LevelTables``, which the census and the verification suites read, numbers
 the same layout over every permutation shorter than n instead of one
 interval, in blocks of permutations; no other module reads the layout's
-helpers.  ``interval_mobius`` returns every value of that walk.  An
+helpers.  ``interval_mobius`` is the one per-element reader of that walk:
+it returns every value, and ``interval_as_poset`` lists its keys.  An
 optional cache memoizes principal values mu(1, pi) only, keyed by the
 symmetry-canonical form of pi, which is sound because the principal Mobius
 function is symmetry-invariant; values with another lower bound are not
@@ -183,16 +184,6 @@ def _levels(sigma: Perm, pi: Perm) -> Iterator[tuple[dict[bytes, int], list[int]
         lower, held = level, made
 
 
-def _walk(sigma: Perm, pi: Perm) -> Iterator[tuple[Perm, int, int]]:
-    """Yield ``(tau, closure, mu(sigma, tau))`` for each tau of [sigma, pi],
-    bottom-up, lengths ascending; nothing unless sigma <= pi.  ``closure``
-    is the bitset of the nonzero-valued elements at or below tau, numbered
-    in walk order (``_levels``)."""
-    for level, values in _levels(sigma, pi):
-        closures = level.values()
-        yield from compress(zip(map(tuple, level), closures, values), closures)
-
-
 class LevelTables:
     """mu(1, tau) for every permutation tau shorter than ``n``, built bottom-up.
 
@@ -312,8 +303,14 @@ class LevelTables:
 def interval_mobius(sigma: Perm, pi: Perm) -> dict[Perm, int]:
     """mu(sigma, tau) for every tau in [sigma, pi], in walk order (lengths
     ascending); empty if sigma !<= pi.  An empty sigma stands for 1: the
-    empty permutation itself is left out."""
-    return {tau: value for tau, _closure, value in _walk(sigma or P1, pi)}
+    empty permutation itself is left out.  The one reader of ``_levels`` per
+    element: tau is in the interval exactly when its closure is nonzero."""
+    return {
+        tuple(tau): value
+        for level, values in _levels(sigma or P1, pi)
+        for (tau, closure), value in zip(level.items(), values)
+        if closure
+    }
 
 
 def _interval_mobius(sigma: Perm, pi: Perm) -> int:
@@ -425,9 +422,9 @@ def mobius_poset(P: FinitePosetView, x: Hashable, y: Hashable) -> int:
 
 def interval_as_poset(sigma: Perm, pi: Perm) -> FinitePosetView:
     """The interval [sigma, pi] of the pattern poset as a FinitePosetView,
-    listed in the order of the bottom-up walk (lengths ascending)."""
+    listing the keys of ``interval_mobius(sigma, pi)`` in their order."""
     below: dict[Perm, set[Perm]] = {}
-    for tau, _closure, _mu in _walk(sigma, pi):
+    for tau in interval_mobius(sigma, pi):
         down = below[tau] = set()
         for child in deletions(tau):
             if child in below:

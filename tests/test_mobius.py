@@ -23,7 +23,7 @@ from permobius import (
     pattern_of,
     principal_mobius,
 )
-from permobius.mobius import LevelTables, _enter, _value, _walk
+from permobius.mobius import LevelTables, _enter, _levels, _value
 from permobius import permcore
 from permobius.permcore import down_set
 from oracles import (
@@ -338,6 +338,19 @@ class TestPosetView:
                     for tau, value in values.items():
                         assert value == mobius_poset(P, sigma, tau), (sigma, tau)
 
+    def test_elements_are_the_interval_mobius_keys(self):
+        # the order check_pro_form relies on, for every sigma <= pi with
+        # |pi| <= 5 and for the empty sigma, which both views read as 1
+        for n in range(1, 6):
+            for pi in perms_of(n):
+                for sigma in [(), *brute_down_set(pi)]:
+                    P = interval_as_poset(sigma, pi)
+                    assert P.elements == tuple(interval_mobius(sigma, pi)), (sigma, pi)
+                empty, one = interval_as_poset((), pi), interval_as_poset((1,), pi)
+                assert empty.elements == one.elements, pi
+                for tau in one.elements:
+                    assert empty.strictly_below(tau) == one.strictly_below(tau), (pi, tau)
+
     def test_interval_reads_the_down_set(self):
         # every (x, y) of every [1, pi] with |pi| <= 5, incomparable pairs
         # included, against the test of every element
@@ -356,9 +369,11 @@ class TestPosetView:
         tables8 = LevelTables(8)
         for n in range(1, 7):
             for pi in perms_of(n):
-                for tau, closure, value in _walk((1,), pi):
-                    assert closure.bit_count() == tables8.closures[bytes(tau)].bit_count(), (pi, tau)
-                    assert value == tables8.mobius(tau), (pi, tau)
+                for level, values in _levels((1,), pi):
+                    # every tau below pi is in [1, pi], so no closure is 0
+                    for (tau, closure), value in zip(level.items(), values):
+                        assert closure.bit_count() == tables8.closures[tau].bit_count(), (pi, tau)
+                        assert value == tables8.mobius(tuple(tau)), (pi, tau)
 
 
 class TestBitPlanes:
@@ -387,7 +402,6 @@ class TestPublicResultsAreTuples:
         pi = parse("25314")
         sigma = parse("12")
         assert all(type(t) is tuple for t in interval_mobius(sigma, pi))
-        assert all(type(t) is tuple for t, _closure, _mu in _walk(sigma, pi))
         assert all(type(t) is tuple for t in down_set(pi))
         assert all(type(t) is tuple for t in permcore.deletions(pi))
         assert all(type(t) is tuple for t in interval_as_poset(sigma, pi).elements)

@@ -1,3 +1,4 @@
+import collections
 import copy
 import hashlib
 import itertools
@@ -147,15 +148,15 @@ def _core_holds(P, x, y, core):
 
 class TestChecks:
     def test_pro_form_passes(self):
-        assert check_pro_form(parse("1"), parse("2413"), seed=1)
-        assert check_pro_form(parse("21"), parse("35142"), seed=2)
+        assert check_pro_form(parse("1"), parse("2413"), [1]) is None
+        assert check_pro_form(parse("21"), parse("35142"), [2]) is None
 
     def test_pro_form_corruption_detected(self):
-        assert not check_pro_form(parse("1"), parse("2413"), seed=1, corrupt=True)
+        assert check_pro_form(parse("1"), parse("2413"), [1], corrupt=True) == 1
 
     def test_pro_form_precondition(self):
         with pytest.raises(PreconditionError):
-            check_pro_form(parse("321"), parse("1234"), seed=0)
+            check_pro_form(parse("321"), parse("1234"), [0])
 
     def test_eq_cancel(self):
         # 12354 has up-adjacencies at 1 and 2, a down-adjacency at 4;
@@ -257,7 +258,7 @@ FORCED_FAILURES = [
     ("non-annihilators", "principal_mobius", 1, "non-annihilator-separation (mu(1,214635) != 0)"),
     ("non-annihilators", "principal_mobius", 0,
      "non-annihilator-separation (mu(1, 24153_2[235614]) == 0)"),
-    ("pro-form", "check_pro_form", False, "pro-form-identity (sigma=1 pi=132 seed=0)"),
+    ("pro-form", "check_pro_form", 0, "pro-form-identity (sigma=1 pi=132 seed=0)"),
     ("eq-cancel", "check_eq_cancel_thm1", False, "eq-cancel-theorem1 (failed at 1243)"),
     ("planted-posets", "check_fac_nd", False, "fac-nd-planted (narrow seed=0)"),
     ("planted-posets", "check_fac_del", False, "fac-nd-planted (deletion seed=0)"),
@@ -307,6 +308,25 @@ class TestSuiteRunner:
         assert len(hosts) == count
         assert sum(len(h) > 8 for h in hosts) == longer
         assert hashlib.sha256(repr(hosts).encode()).hexdigest() == digest
+
+    def test_pro_form_builds_each_interval_once(self, monkeypatch):
+        # one interval_as_poset and one interval_mobius for each of the 5
+        # intervals, whatever the number of seeds
+        calls = collections.Counter()
+
+        def counted(name):
+            build = getattr(verify, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return build(*args)
+
+            return wrapper
+
+        for name in ("interval_as_poset", "interval_mobius"):
+            monkeypatch.setattr(verify, name, counted(name))
+        assert run_theorem_suites(7, ["pro-form"]).all_passed
+        assert calls == {"interval_as_poset": 5, "interval_mobius": 5}
 
     def test_suites_run_through_their_module_attributes(self, monkeypatch):
         # bench/tracing.py times each suite by wrapping verify._suite_<name>;
