@@ -12,7 +12,6 @@ from .permcore import (
     contains,
     direct_sum,
     down_set,
-    find_sum_split_interval,
     fmt,
     has_opposing_adjacencies,
     inflate_at,
@@ -42,7 +41,6 @@ from .zerorules import (
     OpposingAdjacencies,
     SumAnnihilator,
     ZeroCertificate,
-    certificate_line,
     certify_zero,
     describe_certificate,
     sigma_sum_rule,

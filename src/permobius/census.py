@@ -316,6 +316,8 @@ def zero_density(
     tables = LevelTables(n) if pending else None
     with contextlib.ExitStack() as stack:
         if workers == 1 or len(pending) <= 1:
+            # in-process: the tables leave the module state when the scan ends
+            stack.callback(_WORKER_STATE.clear)
             _worker_init(n, audit, tables)
             scan = map
         else:

@@ -302,18 +302,14 @@ def intervals(pi: Perm) -> Iterator[tuple[int, int, int]]:
                 yield s + 1, e + 1, low
 
 
-def find_sum_split_interval(pi: Perm) -> Optional[tuple[int, int, int]]:
-    """The least witness (i, j, p) of an interval copy of some a+1+b direct sum.
+def _sum_split(pi: Perm, ivs: Iterable[tuple[int, int, int]]) -> Optional[tuple[int, int, int]]:
+    """The least witness (i, j, p) of an interval copy of some a+1+b direct
+    sum, given ``ivs``, pi's intervals in ``intervals`` order.
 
     The window [i, j] (1-based) has contiguous values, and the interior
     position p has every window value to its left below pi[p] and every one
     to its right above.  Witnesses are ordered lexicographically.
     """
-    return _sum_split(pi, intervals(pi))
-
-
-def _sum_split(pi: Perm, ivs: Iterable[tuple[int, int, int]]) -> Optional[tuple[int, int, int]]:
-    """``find_sum_split_interval`` over ``ivs``, pi's intervals in ``intervals`` order."""
     for s, e, low in ivs:
         # p splits [s, e] iff pi[p] = low + (p - s) and exceeds all to its left
         high = pi[s - 1]

@@ -502,7 +502,9 @@ def run_theorem_suites(n_max: int = 6, suites: Optional[Sequence[str]] = None) -
 
     Each suite returns its first failure or None, and this loop turns that
     into the suite's one ``CheckResult``: FAIL with the failure as its
-    detail, or PASS with the detail ``_SUITES`` gives it.  One
+    detail, or PASS with the detail ``_SUITES`` gives it.  A check that
+    raises CoreInvariantError or PreconditionError fails its suite with the
+    error's text, and the other suites still run.  One
     ``LevelTables(8)`` per run serves every suite as a full principal cache:
     values up to length 8, which covers the exhaustive suites and the
     cor-sum and base-annihilator hosts, are read off the tables, and longer
@@ -524,7 +526,10 @@ def run_theorem_suites(n_max: int = 6, suites: Optional[Sequence[str]] = None) -
     for (suite, report, passed), name in zip(_SUITES, SUITE_NAMES):
         if name not in wanted:
             continue
-        failure = globals()[suite.__name__](n_max, tables)
+        try:
+            failure = globals()[suite.__name__](n_max, tables)
+        except (CoreInvariantError, PreconditionError) as exc:
+            failure = str(exc)
         detail = passed.format(**fields) if failure is None else failure
         results.append(CheckResult(report, failure is None, detail))
     return Report(results)

@@ -2,7 +2,11 @@
 
 Each rule is sound: a permutation holding a valid certificate has principal
 Mobius value 0.  Completeness is not attempted; zeros arising from
-accidental cancellation get no certificate.  Every rule reads one list of
+accidental cancellation get no certificate.  Each rule is one certificate
+class holding its rule ``tag``, its ``witness()`` text and its
+``recheck(pi, include_conjectured)``, which returns False or raises on a
+witness that does not hold; ``describe_certificate`` and
+``verify_certificate`` only dispatch to them.  Every rule reads one list of
 pi's intervals (``permcore.intervals``), which ``_certify`` takes from a
 caller that holds it, uncached, and ``verify_certificate`` re-checks only
 the windows a certificate names.  All rules are closed under the 8
@@ -84,39 +88,95 @@ _PAIR_MEMBERS = frozenset(
 _WINDOW_LENGTHS = frozenset(map(len, BASE_ANNIHILATORS)) | frozenset(map(len, _PAIR_MEMBERS))
 
 
+def _window_copies(pi: Perm, pattern: Perm, window: tuple[int, int]) -> bool:
+    s, e = window
+    if not (1 <= s <= e <= len(pi)) or e - s + 1 != len(pattern):
+        return False
+    vals = pi[s - 1 : e]
+    return max(vals) - min(vals) == e - s and pattern_of(vals) == pattern
+
+
 @dataclass(frozen=True)
 class OpposingAdjacencies:
+    tag = "opposing-adjacencies"
     up_index: int
     down_index: int
+
+    def witness(self) -> str:
+        return f"up={self.up_index} down={self.down_index}"
+
+    def recheck(self, pi: Perm, include_conjectured: bool = False) -> bool:
+        i, j = self.up_index, self.down_index
+        return _window_copies(pi, (1, 2), (i, i + 1)) and _window_copies(pi, (2, 1), (j, j + 1))
 
 
 @dataclass(frozen=True)
 class SumAnnihilator:
+    tag = "sum-annihilator"
     window: tuple[int, int]
     split: int
     # Coordinates refer to apply_symmetry(symmetry, pi): only "id" (a direct
     # sum alpha+1+beta in pi) or "r" (a skew sum in pi) can occur.
     symmetry: str = "id"
 
+    def witness(self) -> str:
+        s, e = self.window
+        return f"window={s}-{e} split={self.split} sym={self.symmetry}"
+
+    def recheck(self, pi: Perm, include_conjectured: bool = False) -> bool:
+        q = apply_symmetry(self.symmetry, pi)
+        (s, e), p = self.window, self.split
+        if not 1 <= s < p < e <= len(q):
+            return False
+        vals, v = q[s - 1 : e], q[p - 1]
+        if max(vals) - min(vals) != e - s:
+            return False
+        return max(q[s - 1 : p - 1]) < v < min(q[p:e])
+
 
 @dataclass(frozen=True)
 class BaseAnnihilator:
+    tag = "base-annihilator"
     base: Perm
     symmetry: str
     window: tuple[int, int]
 
+    def witness(self) -> str:
+        s, e = self.window
+        return f"base={fmt(self.base)} sym={self.symmetry} window={s}-{e}"
+
+    def recheck(self, pi: Perm, include_conjectured: bool = False) -> bool:
+        if self.base not in BASE_ANNIHILATORS:
+            return False
+        return _window_copies(pi, apply_symmetry(self.symmetry, self.base), self.window)
+
 
 @dataclass(frozen=True)
 class AnnihilatorPair:
+    tag = "annihilator-pair"
     pair: tuple[Perm, Perm]
     symmetry: str
     window1: tuple[int, int]
     window2: tuple[int, int]
 
+    def witness(self) -> str:
+        (s1, e1), (s2, e2) = self.window1, self.window2
+        members = ",".join(map(fmt, self.pair))
+        return f"pair={members} sym={self.symmetry} window1={s1}-{e1} window2={s2}-{e2}"
 
-ZeroCertificate = Union[
-    OpposingAdjacencies, SumAnnihilator, BaseAnnihilator, AnnihilatorPair
-]
+    def recheck(self, pi: Perm, include_conjectured: bool = False) -> bool:
+        known = ANNIHILATOR_PAIRS + (CONJECTURED_PAIRS if include_conjectured else ())
+        if self.pair not in known:
+            return False
+        (phi, psi), w1, w2 = self.pair, self.window1, self.window2
+        if not (w1[1] < w2[0] or w2[1] < w1[0]):
+            return False
+        return _window_copies(pi, apply_symmetry(self.symmetry, phi), w1) and _window_copies(
+            pi, apply_symmetry(self.symmetry, psi), w2
+        )
+
+
+ZeroCertificate = Union[OpposingAdjacencies, SumAnnihilator, BaseAnnihilator, AnnihilatorPair]
 
 
 def _interval_windows(
@@ -183,51 +243,16 @@ def _certify(
     return None
 
 
-def _window_copies(pi: Perm, pattern: Perm, window: tuple[int, int]) -> bool:
-    s, e = window
-    if not (1 <= s <= e <= len(pi)) or e - s + 1 != len(pattern):
-        return False
-    vals = pi[s - 1 : e]
-    return max(vals) - min(vals) == e - s and pattern_of(vals) == pattern
-
-
 def verify_certificate(
     pi: Perm, cert: ZeroCertificate, include_conjectured: bool = False
 ) -> bool:
-    """Structural re-check of a certificate's witness; no Mobius evaluation."""
-    try:
-        if isinstance(cert, OpposingAdjacencies):
-            i, j = cert.up_index, cert.down_index
-            return _window_copies(pi, (1, 2), (i, i + 1)) and _window_copies(pi, (2, 1), (j, j + 1))
-        if isinstance(cert, SumAnnihilator):
-            q = apply_symmetry(cert.symmetry, pi)
-            (s, e), p = cert.window, cert.split
-            if not 1 <= s < p < e <= len(q):
-                return False
-            vals, v = q[s - 1 : e], q[p - 1]
-            if max(vals) - min(vals) != e - s:
-                return False
-            return max(q[s - 1 : p - 1]) < v < min(q[p:e])
-        if isinstance(cert, BaseAnnihilator):
-            if cert.base not in BASE_ANNIHILATORS:
-                return False
-            return _window_copies(
-                pi, apply_symmetry(cert.symmetry, cert.base), cert.window
-            )
-        if isinstance(cert, AnnihilatorPair):
-            known = ANNIHILATOR_PAIRS + (
-                CONJECTURED_PAIRS if include_conjectured else ()
-            )
-            if cert.pair not in known:
-                return False
-            phi, psi = cert.pair
-            w1, w2 = cert.window1, cert.window2
-            if not (w1[1] < w2[0] or w2[1] < w1[0]):
-                return False
-            return _window_copies(
-                pi, apply_symmetry(cert.symmetry, phi), w1
-            ) and _window_copies(pi, apply_symmetry(cert.symmetry, psi), w2)
+    """Structural re-check of a certificate's witness; no Mobius evaluation.
+    False for anything that is not a certificate; only an annihilator pair
+    reads ``include_conjectured``."""
+    if not isinstance(cert, ZeroCertificate):
         return False
+    try:
+        return cert.recheck(pi, include_conjectured)
     except (PermError, ValueError, TypeError):
         return False
 
@@ -251,40 +276,8 @@ def sigma_sum_rule(sigma: Perm, alpha: Perm, beta: Perm, pi: Perm) -> bool:
     )
 
 
-_RULE_TAGS = {
-    OpposingAdjacencies: "opposing-adjacencies",
-    SumAnnihilator: "sum-annihilator",
-    BaseAnnihilator: "base-annihilator",
-    AnnihilatorPair: "annihilator-pair",
-}
-
-
 def describe_certificate(cert: ZeroCertificate) -> tuple[str, str]:
-    """(rule tag, witness text) for display and audit lines."""
-    if isinstance(cert, OpposingAdjacencies):
-        return _RULE_TAGS[type(cert)], f"up={cert.up_index} down={cert.down_index}"
-    if isinstance(cert, SumAnnihilator):
-        return (
-            _RULE_TAGS[type(cert)],
-            f"window={cert.window[0]}-{cert.window[1]} split={cert.split} sym={cert.symmetry}",
-        )
-    if isinstance(cert, BaseAnnihilator):
-        return (
-            _RULE_TAGS[type(cert)],
-            f"base={fmt(cert.base)} sym={cert.symmetry} "
-            f"window={cert.window[0]}-{cert.window[1]}",
-        )
-    if isinstance(cert, AnnihilatorPair):
-        return (
-            _RULE_TAGS[type(cert)],
-            f"pair={fmt(cert.pair[0])},{fmt(cert.pair[1])} sym={cert.symmetry} "
-            f"window1={cert.window1[0]}-{cert.window1[1]} "
-            f"window2={cert.window2[0]}-{cert.window2[1]}",
-        )
-    raise PermError(f"unknown certificate {cert!r}")
-
-
-def certificate_line(pi: Perm, cert: ZeroCertificate) -> str:
-    """Audit-file serialization: ``<perm>TAB<rule>TAB<witness>``."""
-    tag, witness = ("none", "") if cert is None else describe_certificate(cert)
-    return f"{fmt(pi)}\t{tag}\t{witness}"
+    """(rule tag, witness text) for display; PermError for a non-certificate."""
+    if not isinstance(cert, ZeroCertificate):
+        raise PermError(f"unknown certificate {cert!r}")
+    return cert.tag, cert.witness()

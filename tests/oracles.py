@@ -163,8 +163,9 @@ def brute_intervals(pi):
 
 
 def brute_sum_split(pi):
-    """The library's earlier find_sum_split_interval: every window and split
-    point checked from scratch, O(n^3) windows-by-points with O(n) scans."""
+    """The least sum-split witness (i, j, p) that permcore._sum_split finds:
+    every window and split point checked from scratch, O(n^3)
+    windows-by-points with O(n) scans."""
     n = len(pi)
     for i0 in range(n - 2):
         for j0 in range(i0 + 2, n):

@@ -149,6 +149,11 @@ class TestZeroDensity:
         zero_density(7)
         assert certify_zero.cache_info().currsize == 0
 
+    def test_in_process_scan_drops_its_level_tables(self):
+        # one worker scans in this process; its tables must not outlive the call
+        zero_density(6)
+        assert not any(isinstance(v, LevelTables) for v in census._WORKER_STATE.values())
+
     def test_worker_count_invariance(self):
         rows = [zero_density(6, workers=w) for w in (1, 2, 3)]
         assert len({(r.zero_count, r.certified_count, r.simple_count) for r in rows}) == 1

@@ -15,7 +15,6 @@ from permobius import (
     contains,
     direct_sum,
     down_set,
-    find_sum_split_interval,
     fmt,
     inflate_at,
     interval_mobius,
@@ -439,6 +438,11 @@ class TestIntervalCopies:
             assert _interval_windows(pi, intervals(pi), range(1, len(pi) + 1)) == want, pi
 
 
+def sum_split(pi):
+    """The least sum-split witness over all of pi's intervals."""
+    return permcore._sum_split(pi, intervals(pi))
+
+
 class TestIntervals:
     def test_examples(self):
         assert list(intervals(parse("2413"))) == [
@@ -451,16 +455,16 @@ class TestIntervals:
         for pi in perms_up_to(8):
             found = brute_intervals(pi)
             assert list(intervals(pi)) == found, pi
-            assert find_sum_split_interval(pi) == brute_sum_split(pi), pi
+            assert sum_split(pi) == brute_sum_split(pi), pi
             n = len(pi)
             assert is_simple(pi) == all(e - s in (0, n - 1) for s, e, _ in found), pi
 
 
 class TestSumSplit:
     def test_examples(self):
-        assert find_sum_split_interval(parse("21354")) == (1, 5, 3)
-        assert find_sum_split_interval(parse("123")) == (1, 3, 2)
-        assert find_sum_split_interval(parse("2413")) is None
+        assert sum_split(parse("21354")) == (1, 5, 3)
+        assert sum_split(parse("123")) == (1, 3, 2)
+        assert sum_split(parse("2413")) is None
 
     def test_equivalent_to_sum_interval_copy(self):
         # witness exists iff some a+1+b occurs as an interval copy
@@ -474,7 +478,7 @@ class TestSumSplit:
                 for alpha in itertools.permutations(range(1, la + 1))
                 for beta in itertools.permutations(range(1, lb + 1))
             )
-            assert (find_sum_split_interval(pi) is not None) == brute
+            assert (sum_split(pi) is not None) == brute
 
 
 class TestSymmetry:

@@ -275,6 +275,48 @@ SAMPLED_HOSTS = [
 ]
 
 
+#: verify --nmax 3 with every suite passing
+REPORT_N3 = """\
+PASS theorem1-exhaustive (n<=3)
+PASS rule-soundness-exhaustive (n<=3)
+PASS cor-sum-sampled (|alpha|+|beta|<=4, |tau|<=4)
+PASS pair-theorems-sampled (4 pairs, |tau|<=3)
+PASS base-annihilators-sampled (3 bases, |tau|<=3)
+PASS non-annihilator-separation
+PASS pro-form-identity (50 seeds per interval)
+PASS eq-cancel-theorem1 (n<=3)
+PASS fac-nd-planted (100 seeds)
+PASS figure-diamond-cores
+PASS generic-poset-oracle (n<=5)
+OK
+"""
+
+
+def diamond_with_z_prime_equal_z():
+    P, core = reconstruct_214635_diamond()
+    return P, TippedCore("diamond", z=core.z, z_prime=core.z, w=core.w)
+
+
+def narrow_core_at_the_bottom(seed):
+    P, x, y, _core = planted_narrow_poset(seed)
+    return P, x, y, TippedCore("narrow", z=x)
+
+
+def deletion_of_the_bottom(seed):
+    P, x, _y = planted_deletion_case(seed)
+    return P, x, x  # mu(x, x) = 1, outside the deletion fact
+
+
+#: (name patched on permobius.verify, its replacement, the PASS line the
+#: CoreInvariantError it raises turns into a FAIL line)
+RAISING_CHECKS = [
+    ("reconstruct_214635_diamond", diamond_with_z_prime_equal_z,
+     "PASS figure-diamond-cores", "FAIL figure-diamond-cores ([x,y) != [x,z] U [x,z'])"),
+    ("planted_narrow_poset", narrow_core_at_the_bottom, "PASS fac-nd-planted (100 seeds)",
+     "FAIL fac-nd-planted (core elements must differ from the bottom)"),
+]
+
+
 class TestSuiteRunner:
     def test_names(self):
         assert SUITE_NAMES == (
@@ -299,6 +341,27 @@ class TestSuiteRunner:
     def test_forced_failure_line(self, monkeypatch, suite, name, value, line):
         monkeypatch.setattr(verify, name, lambda *args, **kwargs: value)
         assert run_theorem_suites(7, [suite]).to_text() == f"FAIL {line}\nFAILED\n"
+
+    @pytest.mark.parametrize(
+        "name, replacement, passed, failed", RAISING_CHECKS, ids=[c[0] for c in RAISING_CHECKS]
+    )
+    def test_a_raising_check_fails_only_its_suite(
+        self, capsys, monkeypatch, name, replacement, passed, failed
+    ):
+        # CoreInvariantError and PreconditionError from a check become the
+        # suite's FAIL line; the other ten suites still report, and the run
+        # exits 3 rather than 1
+        monkeypatch.setattr(verify, name, replacement)
+        assert main(["verify", "--nmax", "3"]) == EXIT_VERIFY
+        out, err = capsys.readouterr()
+        assert out == REPORT_N3.replace(passed, failed).replace("\nOK\n", "\nFAILED\n")
+        assert err == ""
+
+    def test_a_precondition_error_fails_its_suite(self, monkeypatch):
+        monkeypatch.setattr(verify, "planted_deletion_case", deletion_of_the_bottom)
+        assert run_theorem_suites(3, ["planted-posets"]).to_text() == (
+            "FAIL fac-nd-planted (mobius(0, 0) != 0; deletion fact does not apply)\nFAILED\n"
+        )
 
     @pytest.mark.parametrize("suite, count, longer, digest", SAMPLED_HOSTS)
     def test_sampled_host_order(self, monkeypatch, suite, count, longer, digest):

@@ -11,14 +11,16 @@ from permobius import (
     BASE_ANNIHILATORS,
     CONJECTURED_PAIRS,
     AnnihilatorPair,
+    BaseAnnihilator,
     OpposingAdjacencies,
+    PermError,
     SumAnnihilator,
     apply_symmetry,
-    certificate_line,
     certify_zero,
     describe_certificate,
     direct_sum,
     down_set,
+    fmt,
     inflate_at,
     mobius,
     parse,
@@ -29,6 +31,13 @@ from permobius import (
 from oracles import brute_down_set, brute_mobius, interval_copies
 
 perms_of = lambda n: itertools.permutations(range(1, n + 1))
+
+
+def certificate_line(pi, cert):
+    """``<perm>TAB<rule>TAB<witness>``, or rule ``none`` and no witness for
+    None: the line whose digests pin the certificates."""
+    tag, witness = ("none", "") if cert is None else describe_certificate(cert)
+    return f"{fmt(pi)}\t{tag}\t{witness}"
 
 
 class TestRuleTables:
@@ -201,6 +210,76 @@ class TestSoundness:
         pi = parse("367249815")
         assert verify_certificate(pi, OpposingAdjacencies(2, 6))
         assert not verify_certificate(pi, OpposingAdjacencies(up, down))
+
+
+class TestTamperingEveryRule:
+    """A certificate altered in any one field is rejected, whatever its rule."""
+
+    HOSTS = {  # a host each rule certifies, with the certificate it gets
+        "367249815": OpposingAdjacencies(2, 6),
+        "21354": SumAnnihilator((1, 5), 3, "id"),
+        "21546387": BaseAnnihilator((2, 1, 5, 4, 6, 3), "id", (1, 6)),
+        "1342756": AnnihilatorPair(((2, 1, 3), (2, 4, 3, 1)), "r", (5, 7), (1, 4)),
+    }
+
+    def test_issued_certificates_recheck_under_four_tags(self):
+        tags = set()
+        for text, cert in self.HOSTS.items():
+            pi = parse(text)
+            assert certify_zero(pi) == cert
+            assert verify_certificate(pi, cert)
+            tags.add(describe_certificate(cert)[0])
+        assert len(tags) == 4
+
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            # 364512 is the reverse of 215463, so only the table rejects it
+            BaseAnnihilator((3, 6, 4, 5, 1, 2), "r", (1, 6)),
+            BaseAnnihilator((2, 1), "id", (1, 2)),
+            BaseAnnihilator((2, 1, 5, 4, 6, 3), "r", (1, 6)),
+            BaseAnnihilator((2, 1, 5, 4, 6, 3), "x", (1, 6)),
+            BaseAnnihilator((2, 1, 5, 4, 6, 3), "id", (2, 7)),
+            BaseAnnihilator((2, 1, 5, 4, 6, 3), "id", (0, 5)),
+        ],
+    )
+    def test_base_annihilator(self, cert):
+        assert not verify_certificate(parse("21546387"), cert)
+
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            # the members swapped: both windows still copy, the pair is not tabled
+            AnnihilatorPair(((2, 4, 3, 1), (2, 1, 3)), "r", (1, 4), (5, 7)),
+            AnnihilatorPair(((2, 1, 3), (2, 4, 3, 1)), "id", (5, 7), (1, 4)),
+            AnnihilatorPair(((2, 1, 3), (2, 4, 3, 1)), "c", (5, 7), (1, 4)),
+            AnnihilatorPair(((2, 1, 3), (2, 4, 3, 1)), "r", (4, 6), (1, 4)),
+        ],
+    )
+    def test_annihilator_pair(self, cert):
+        assert not verify_certificate(parse("1342756"), cert)
+
+    def test_overlapping_pair_windows(self):
+        # 13 copies 12 at (1, 2) and 32 copies 21 at (2, 3): every window
+        # matches, only the shared position rejects it, and mu(1, 132) = 1
+        pair = ((1, 2), (2, 1))
+        assert verify_certificate(parse("1243"), AnnihilatorPair(pair, "id", (1, 2), (3, 4)))
+        assert not verify_certificate(parse("132"), AnnihilatorPair(pair, "id", (1, 2), (2, 3)))
+        assert principal_mobius(parse("132")) == 1
+
+    def test_conjectured_pair_needs_the_flag(self):
+        pi = inflate_at(
+            direct_sum(parse("21"), parse("21")), [1, 3], [parse("312"), parse("235614")]
+        )
+        cert = AnnihilatorPair((parse("312"), parse("235614")), "id", (1, 3), (5, 10))
+        assert not verify_certificate(pi, cert)
+        assert verify_certificate(pi, cert, include_conjectured=True)
+
+    @pytest.mark.parametrize("thing", [None, (2, 6), object()], ids=["None", "tuple", "object"])
+    def test_non_certificates(self, thing):
+        assert verify_certificate(parse("367249815"), thing) is False
+        with pytest.raises(PermError):
+            describe_certificate(thing)
 
 
 class TestCertificatePin:
