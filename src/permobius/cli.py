@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    # --no-prune (mu, pmu, census) is still accepted and changes nothing: the
-    # evaluator computes interior zeros like every other value.
+    # --no-prune (mu, pmu, census) is still accepted and changes nothing.
+    # pmu answers a certified zero from its rule; `mu 1 pi` walks [1, pi].
     p = sub.add_parser("mu", help="print mu(sigma, pi)")
     p.add_argument("sigma")
     p.add_argument("pi")
@@ -95,7 +95,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(mobius(sigma, pi))
         return EXIT_OK
     if args.command == "pmu":
-        print(principal_mobius(parse(args.pi)))
+        print(principal_mobius(parse(args.pi), pruned=True))
         return EXIT_OK
     if args.command == "zero":
         cert = certify_zero(parse(args.pi))

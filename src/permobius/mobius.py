@@ -24,8 +24,11 @@ it returns every value, and ``interval_as_poset`` lists its keys.  An
 optional cache memoizes principal values mu(1, pi) only, keyed by the
 symmetry-canonical form of pi, which is sound because the principal Mobius
 function is symmetry-invariant; values with another lower bound are not
-cached.  Interior zeros are computed like every other value; the earlier
-recursion that skipped rule-certified zeros survives as a test oracle.
+cached.  ``principal_mobius(pruned=True)``, which only the ``pmu`` command
+asks for, answers 0 for a pi that ``certify_zero`` certifies without
+building its interval; every other value, interior zeros included, comes
+from the walk.  The earlier recursion that skipped rule-certified interior
+zeros survives as a test oracle.
 """
 from __future__ import annotations
 
@@ -55,11 +58,11 @@ from .permcore import (
     _deletions,
     _over_budget,
 )
+from .zerorules import certify_zero
 
-# Unused here, but bench/tracing.py patches these names on this module to
-# count their calls; they stay importable until the benchmark drops them.
+# Unused here, but bench/tracing.py patches this name on this module to
+# count its calls; it stays importable until the benchmark drops it.
 from .permcore import down_set  # noqa: F401
-from .zerorules import certify_zero  # noqa: F401
 
 P1: Perm = (1,)
 
@@ -322,7 +325,7 @@ def _interval_mobius(sigma: Perm, pi: Perm) -> int:
 
 def principal_mobius(
     pi: Perm,
-    pruned: bool = True,
+    pruned: bool = False,
     cache: Optional[MobiusCache] = None,
 ) -> int:
     """mu(1, pi), the principal Mobius function of a nonempty permutation.
@@ -330,9 +333,11 @@ def principal_mobius(
     ``cache`` is probed once with ``get(pi)`` and receives only the value of
     pi through ``put(pi, value)``; any object with that protocol will do,
     such as ``LevelTables``.
-    ``pruned`` changes nothing: every interior value comes from the one
-    interval pass.  It stays only because the benchmark's cross-check
-    (``bench/run.py``) passes ``pruned=False``.
+    With ``pruned``, a pi that ``certify_zero`` certifies gets 0 without
+    a walk of [1, pi], in time polynomial in |pi|, and the cache is not
+    told.  Without it every value comes from the walk, so the verification
+    suites, which check the rules against mu, never read a value the rules
+    gave.
     """
     if not pi:
         raise PermError("principal Mobius of the empty permutation is not defined")
@@ -342,6 +347,8 @@ def principal_mobius(
         hit = cache.get(pi)
         if hit is not None:
             return hit
+    if pruned and certify_zero(pi) is not None:
+        return 0
     value = _interval_mobius(P1, pi)
     if cache is not None:
         cache.put(pi, value)

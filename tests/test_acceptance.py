@@ -171,6 +171,8 @@ def test_default_budget_trips_before_memory_runs_out(capsys):
     # the deletion closure of a random pi of length 30 would need far more
     # memory than the machine has; the default budget refuses it with exit 2
     pi = random.Random(30).sample(range(1, 31), 30)
+    # uncertified, so pmu walks [1, pi] instead of answering from a rule
+    assert certify_zero(tuple(pi)) is None
     code = main(["pmu", " ".join(map(str, pi))])
     captured = capsys.readouterr()
     assert (code, captured.out) == (EXIT_BUDGET, "")

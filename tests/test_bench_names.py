@@ -3,8 +3,9 @@
 ``bench/tracing.py`` wraps the functions listed in its ``LAYER_PATCHES`` on
 the module each consumer looks them up in, and ``bench/run.py`` times two
 census functions by name and cross-checks ``pmu`` values with
-``principal_mobius(pruned=False)``; the tracer also reads the counters of
-every ``MobiusCache``.  A benchmark run only prints a note and skips a
+``principal_mobius(pruned=False)``, the walk that ``pmu`` skips for a
+certified zero; the tracer also reads the counters of every
+``MobiusCache``.  A benchmark run only prints a note and skips a
 layer whose name is missing.  The benchmark's own tests under ``bench/``
 run in this suite too, and ``test_tracer_restores_every_patched_name``
 there fails on such a name as well, since it reads every patched name

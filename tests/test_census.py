@@ -423,9 +423,11 @@ class TestLevelTables:
 
 class TestChunkScan:
     @pytest.mark.parametrize("seed", [4096, 37])
-    def test_scan_chunk_matches_brute_oracle(self, seed):
+    def test_scan_chunk_matches_brute_oracle(self, monkeypatch, seed):
         # a pool worker takes its chunks in any order; no chunk's counts
-        # may depend on the chunks scanned before it
+        # may depend on the chunks scanned before it.  A fresh worker state,
+        # so no LevelTables outlives the test
+        monkeypatch.setattr(census, "_WORKER_STATE", {})
         for n in range(1, 8):
             census._worker_init(n, False, LevelTables(n))
             prefixes = census._chunks(n)
@@ -439,6 +441,7 @@ class TestChunkScan:
         # with every value 0, the zeros of a scan are its orbit weights
         monkeypatch.setattr(census, "principal_mobius", lambda pi, cache: 0)
         monkeypatch.setattr(census, "_certify", lambda pi, ivs: None)
+        monkeypatch.setattr(census, "_WORKER_STATE", {})
         for n in range(1, 9):
             census._worker_init(n, False, None)
             weights = sum(census._scan_chunk(c)["zeros"] for c in census._chunks(n))

@@ -95,6 +95,18 @@ class TestDownSetBudget:
         code, out, _ = run(capsys, "downset", "2413", "--count")
         assert (code, out.strip()) == (EXIT_OK, "8")
 
+    def test_certified_zero_needs_no_budget(self, capsys, monkeypatch):
+        # 1243 has opposing adjacencies: pmu answers 0 without building
+        # [1, 1243], --no-prune or not, and mu 1 1243 walks it and trips
+        # the budget
+        monkeypatch.setattr(permcore, "BUDGET_BYTES", 64)
+        for flags in ([], ["--no-prune"]):
+            code, out, err = run(capsys, "pmu", "1243", *flags)
+            assert (code, out, err) == (EXIT_OK, "0\n", "")
+        code, out, err = run(capsys, "mu", "1", "1243")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == "error: deletion closure of 1243 down to length 1 exceeds 64 bytes\n"
+
 
 class TestCensus:
     def test_csv_row(self, capsys):

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import itertools
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from permobius import (
     PermError,
     apply_symmetry,
     SYMMETRY_LABELS,
+    certify_zero,
     inflate_at,
     interval_as_poset,
     interval_mobius,
@@ -36,6 +38,9 @@ from oracles import (
     poset_from_covers,
     recursive_principal_mobius,
 )
+
+# the module itself: the package exports the function ``mobius`` under its name
+MOBIUS = importlib.import_module("permobius.mobius")
 
 perms_of = lambda n: itertools.permutations(range(1, n + 1))
 
@@ -94,10 +99,34 @@ class TestPrincipal:
                 assert principal_mobius(pi, pruned=True, cache=cache_p) == principal_mobius(
                     pi, pruned=False, cache=cache_u
                 )
+        # past the tables: the rules against the walk at lengths 8-11
         rng = random.Random(17)
-        for _ in range(8):
-            pi = tuple(rng.sample(range(1, 9), 8))
-            assert principal_mobius(pi, pruned=True) == principal_mobius(pi, pruned=False)
+        for n in range(8, 12):
+            for _ in range(8):
+                pi = tuple(rng.sample(range(1, n + 1), n))
+                assert principal_mobius(pi, pruned=True) == principal_mobius(pi, pruned=False)
+
+    @pytest.mark.parametrize(
+        "pi, tag",
+        [
+            (parse("1243"), "opposing-adjacencies"),
+            ((2, 1, *range(3, 65)), "opposing-adjacencies"),
+            (parse("123"), "sum-annihilator"),
+            (parse("215463"), "base-annihilator"),
+            (parse("1342756"), "annihilator-pair"),
+            (parse("1 15 6 5 7 4 17 20 2 19 16 3 14 11 13 12 9 18 10 8"), "annihilator-pair"),
+        ],
+        ids=lambda v: f"{len(v)}" if isinstance(v, tuple) else v,
+    )
+    def test_pruned_certified_zero_never_walks(self, monkeypatch, pi, tag):
+        def walk(sigma, pi):
+            raise AssertionError(f"walked [{sigma}, {pi}]")
+
+        monkeypatch.setattr(MOBIUS, "_interval_mobius", walk)
+        assert certify_zero(pi).tag == tag
+        assert principal_mobius(pi, pruned=True) == 0
+        with pytest.raises(AssertionError, match="walked"):
+            principal_mobius(pi)  # unpruned by default
 
     def test_engine_matches_recursion_exhaustive(self):
         # the recursion with certify_zero pruning, against itself unpruned,
