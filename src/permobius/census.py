@@ -7,10 +7,11 @@ the interval walk, which that class describes.
 The scan evaluates one representative per orbit of the 8 symmetries
 (weighted by orbit size) and partitions S_n into the n(n-1) chunks of
 permutations that share their first two entries, in lexicographic order,
-so results are byte-identical for any worker count.  Outside audit mode a
-chunk visits only orbit candidates: permutations whose first entry is at
-most the first entry of each of their 8 images, read off pi[0], pi[-1] and
-the positions of 1 and n.  Only those have their 8 images built.
+so results are byte-identical for any worker count.  A chunk visits only
+orbit candidates: permutations whose first entry is at most the first
+entry of each of their 8 images, read off pi[0], pi[-1] and the positions
+of 1 and n.  Only those have their 8 images built.  After the scan the
+workers read the audit file's lines, one per pi, off the level tables.
 
 Each representative's intervals are scanned once, and that list gives its
 simplicity, its adjacencies and, for a zero, its certificate
@@ -162,8 +163,8 @@ def _fingerprint() -> str:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(n: int, audit: bool, tables: Optional[LevelTables]) -> None:
-    _WORKER_STATE.update(n=n, audit=audit, tables=tables)
+def _worker_init(n: int, tables: Optional[LevelTables]) -> None:
+    _WORKER_STATE.update(n=n, tables=tables)
 
 
 _COUNT_KEYS = (
@@ -173,37 +174,30 @@ _COUNT_KEYS = (
 
 def _scan_chunk(prefix: Perm) -> dict:
     n = _WORKER_STATE["n"]
-    audit = _WORKER_STATE["audit"]
     tables = _WORKER_STATE["tables"]
     rest = [v for v in range(1, n + 1) if v not in prefix]
     # pi = min(orbit) needs pi[0] at most the first entry of every image,
     # among them the complement's n + 1 - pi[0]; past that no prefix holds
     # an orbit candidate
-    dead = not audit and prefix[0] > n + 1 - prefix[0]
+    dead = prefix[0] > n + 1 - prefix[0]
     counts = dict.fromkeys(_COUNT_KEYS, 0)
-    audit_lines: list[str] = []
     for tail in () if dead else itertools.permutations(rest):
         pi = prefix + tail
-        if audit:
-            mu = principal_mobius(pi, cache=tables)
-            audit_lines.append(f"{fmt(pi)}\t{mu}")
-            weight = 1
-        else:
-            # the other first entries: pi[-1], n + 1 - pi[-1] and the
-            # positions of 1 and n, counted from either end
-            first = pi[0]
-            top = n + 1 - first
-            if not (
-                first <= pi[-1] <= top
-                and first <= pi.index(1) + 1 <= top
-                and first <= pi.index(n) + 1 <= top
-            ):
-                continue
-            images = symmetric_images(pi)
-            if pi != min(images):
-                continue
-            weight = len(set(images))
-            mu = principal_mobius(pi, cache=tables)
+        # the other first entries: pi[-1], n + 1 - pi[-1] and the positions
+        # of 1 and n, counted from either end
+        first = pi[0]
+        top = n + 1 - first
+        if not (
+            first <= pi[-1] <= top
+            and first <= pi.index(1) + 1 <= top
+            and first <= pi.index(n) + 1 <= top
+        ):
+            continue
+        images = symmetric_images(pi)
+        if pi != min(images):
+            continue
+        weight = len(set(images))
+        mu = principal_mobius(pi, cache=tables)
         # pi is simple iff its only intervals are the singletons and pi (one
         # of them if n = 1); the length-2 ones are adjacencies, up if rising
         ivs = list(intervals(pi))
@@ -220,7 +214,16 @@ def _scan_chunk(prefix: Perm) -> dict:
             counts["opposing"] += weight
         elif not rising:
             counts["adjacency_free"] += weight
-    return {"chunk": prefix, **counts, "audit": audit_lines}
+    return {"chunk": prefix, **counts}
+
+
+def _audit_chunk(prefix: Perm) -> tuple[Perm, str]:
+    """The audit lines of the permutations that start with ``prefix``, in
+    lexicographic order, read off the level tables."""
+    n, tables = _WORKER_STATE["n"], _WORKER_STATE["tables"]
+    rest = [v for v in range(1, n + 1) if v not in prefix]
+    perms = (prefix + tail for tail in itertools.permutations(rest))
+    return prefix, "".join(f"{fmt(pi)}\t{tables.mobius(pi)}\n" for pi in perms)
 
 
 def _load_checkpoint(path: str, n: int) -> dict:
@@ -260,8 +263,7 @@ def _save_checkpoint(path: str, n: int, done: dict) -> None:
         "n": n,
         "fingerprint": _fingerprint(),
         "chunks": [
-            {k: v for k, v in res.items() if k != "audit"} | {"chunk": list(chunk)}
-            for chunk, res in sorted(done.items())
+            res | {"chunk": list(chunk)} for chunk, res in sorted(done.items())
         ],
     }
     tmp = path + ".tmp"
@@ -288,13 +290,14 @@ def zero_density(
 
     The level tables for n are built once in this process and handed to the
     workers through the pool initializer; each value of length n then costs
-    one lookup per single deletion and a popcount per signed bit plane.  Each
-    chunk is the (n-2)! permutations that share a two-entry prefix.  Unless
-    an audit file (one line per permutation) is requested, the scan visits
-    only orbit candidates and evaluates the least member of each symmetry
-    orbit, weighted by the orbit's size.  ``long_run`` must be set for n
-    above the desk cap.  Raises BudgetError when the level tables would
-    pass ``permcore.BUDGET_BYTES``, and AssertionError when the scan's
+    one lookup per single deletion and a popcount per signed bit plane.
+    Each chunk is the (n-2)! permutations that share a two-entry prefix; the
+    scan visits only orbit candidates and evaluates the least member of each
+    symmetry orbit, weighted by the orbit's size.  Once the row has passed
+    its checks, the workers read the audit lines, one per permutation of
+    S_n, off the tables.  ``long_run`` must be set for n above the desk cap.
+    Raises BudgetError when the level tables would pass
+    ``permcore.BUDGET_BYTES``, and AssertionError when the scan's
     adjacency-free and opposing-adjacency counts are not the recurrences'
     b_n and s_n.
     """
@@ -303,26 +306,23 @@ def zero_density(
     if workers < 1:
         raise PermError(f"workers must be at least 1, got {workers}")
     _check_desk_cap(n, long_run)
-    audit = audit_file is not None
     chunks = _chunks(n)
     done = _load_checkpoint(checkpoint, n) if checkpoint else {}
-    if audit and done:
-        raise PermError("checkpoint resume cannot replay audit lines; rerun fresh")
     pending = [c for c in chunks if c not in done]
     if checkpoint and pending:  # an unwritable path fails here, before the level build
         _save_checkpoint(checkpoint, n, done)
 
     results: dict[Perm, dict] = dict(done)
-    tables = LevelTables(n) if pending else None
+    tables = LevelTables(n) if pending or audit_file is not None else None
     with contextlib.ExitStack() as stack:
         if workers == 1 or len(pending) <= 1:
-            # in-process: the tables leave the module state when the scan ends
+            # in-process: the tables leave the module state when the run ends
             stack.callback(_WORKER_STATE.clear)
-            _worker_init(n, audit, tables)
+            _worker_init(n, tables)
             scan = map
         else:
             pool = multiprocessing.Pool(
-                min(workers, len(pending)), initializer=_worker_init, initargs=(n, audit, tables)
+                min(workers, len(pending)), initializer=_worker_init, initargs=(n, tables)
             )
             scan = stack.enter_context(pool).imap_unordered
         for res in scan(_scan_chunk, pending):
@@ -330,18 +330,17 @@ def zero_density(
             if checkpoint:
                 _save_checkpoint(checkpoint, n, results)
 
-    zeros, certified, simple, simple_nonzero, opposing, adjacency_free = (
-        sum(results[c][k] for c in chunks) for k in _COUNT_KEYS
-    )
-    if audit:
-        for chunk in chunks:  # audit lines in prefix order
-            audit_file.writelines(line + "\n" for line in results[chunk]["audit"])
-    a, b, s = adjacency_counts(n)
-    if (adjacency_free, opposing) != (b, s):
-        raise AssertionError(
-            f"scan/recurrence disagreement at n={n}: "
-            f"scan (b, s)=({adjacency_free},{opposing}) rec=({b},{s})"
+        zeros, certified, simple, simple_nonzero, opposing, adjacency_free = (
+            sum(results[c][k] for c in chunks) for k in _COUNT_KEYS
         )
+        a, b, s = adjacency_counts(n)
+        if (adjacency_free, opposing) != (b, s):
+            raise AssertionError(
+                f"scan/recurrence disagreement at n={n}: "
+                f"scan (b, s)=({adjacency_free},{opposing}) rec=({b},{s})"
+            )
+        if audit_file is not None:  # in prefix order: S_n in lexicographic order
+            audit_file.writelines(text for _, text in sorted(scan(_audit_chunk, chunks)))
     return CensusRow(
         n=n,
         total=math.factorial(n),

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -89,6 +90,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DOMAIN
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError if ``path`` cannot be opened for writing; the file, or
+    its absence, is left as it was."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "mu":
         sigma, pi = parse(args.sigma), parse(args.pi)
@@ -114,8 +124,12 @@ def _dispatch(args: argparse.Namespace) -> int:
                 print(fmt(tau))
         return EXIT_OK
     if args.command == "census":
-        # the file is opened after the run, so a refused run leaves it as it was
-        audit = io.StringIO() if args.audit else None
+        # an unwritable audit path fails before the run; the file is opened
+        # for writing after it, so a refused run leaves it as it was
+        audit = None
+        if args.audit:
+            _check_writable(args.audit)
+            audit = io.StringIO()
         row = zero_density(
             args.n,
             workers=args.workers,

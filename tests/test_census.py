@@ -1,4 +1,5 @@
 import gc
+import io
 import itertools
 import json
 import math
@@ -85,7 +86,7 @@ class TestRecurrences:
     def test_wrong_recurrence_raises(self, monkeypatch, tmp_path, name, audit):
         # negative control: a recurrence off by one at n = 6 (b_6 directly,
         # a_6 through s_6 = 6! - 2a_6 + b_6) disagrees with the census's own
-        # adjacency counts, in orbit and in audit mode
+        # adjacency counts; the row is refused before any audit line is written
         right = getattr(census, name)
 
         def wrong(n_max):
@@ -94,9 +95,11 @@ class TestRecurrences:
             return values
 
         monkeypatch.setattr(census, name, wrong)
-        with open(tmp_path / "audit.tsv", "w") as fh:
+        path = tmp_path / "audit.tsv"
+        with open(path, "w") as fh:
             with pytest.raises(AssertionError, match="disagreement at n=6:"):
                 zero_density(6, audit_file=fh if audit else None)
+        assert path.read_text() == ""
 
     def test_nonpositive_n(self):
         with pytest.raises(PermError):
@@ -289,6 +292,44 @@ class TestZeroDensity:
         assert resumed == full == emit_table([zero_density(7)], format="csv")
         assert json.loads(ck.read_text()) == data
 
+    def test_checkpoint_resume_with_audit(self, tmp_path):
+        # a pool run resumed from half its chunks writes the same row and
+        # the same audit text as a fresh run: the audit comes from the
+        # tables, not from the chunks
+        ck = tmp_path / "ck.json"
+        fresh_audit, resumed_audit = io.StringIO(), io.StringIO()
+        fresh = zero_density(7, workers=2, audit_file=fresh_audit, checkpoint=str(ck))
+        data = json.loads(ck.read_text())
+        ck.write_text(json.dumps(dict(data, chunks=data["chunks"][::2])))
+        resumed = zero_density(7, workers=2, audit_file=resumed_audit, checkpoint=str(ck))
+        assert resumed == fresh
+        assert resumed_audit.getvalue() == fresh_audit.getvalue()
+        assert fresh_audit.getvalue().count("\n") == math.factorial(7)
+        assert json.loads(ck.read_text()) == data
+
+    def test_version5_checkpoint_resumes(self, tmp_path):
+        # a version-5 checkpoint as the census wrote it for n = 4 when audit
+        # mode still scanned all of S_n: every other chunk, each with the
+        # six counts (zero where not listed), resumes with an audit
+        counts = {(1, 2): (6, 6, 0, 0, 4, 0), (1, 4): (4, 4, 0, 0, 0, 0)}
+        prefixes = list(itertools.permutations(range(1, 5), 2))[::2]
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps({
+            "version": 5,
+            "n": 4,
+            "fingerprint": "e04a9aef",
+            "chunks": [
+                {"chunk": list(p), **dict(zip(census._COUNT_KEYS, counts.get(p, (0,) * 6)))}
+                for p in prefixes
+            ],
+        }))
+        audit = io.StringIO()
+        assert zero_density(4, audit_file=audit, checkpoint=str(ck)) == zero_density(4)
+        assert audit.getvalue() == "".join(
+            f"{''.join(map(str, pi))}\t{principal_mobius(pi)}\n"
+            for pi in itertools.permutations(range(1, 5))
+        )
+
     def test_audit_lines_match_principal_mobius(self, tmp_path):
         path = tmp_path / "audit.tsv"
         with path.open("w") as fh:
@@ -429,7 +470,7 @@ class TestChunkScan:
         # so no LevelTables outlives the test
         monkeypatch.setattr(census, "_WORKER_STATE", {})
         for n in range(1, 8):
-            census._worker_init(n, False, LevelTables(n))
+            census._worker_init(n, LevelTables(n))
             prefixes = census._chunks(n)
             random.Random(seed).shuffle(prefixes)
             for prefix in prefixes:
@@ -443,7 +484,7 @@ class TestChunkScan:
         monkeypatch.setattr(census, "_certify", lambda pi, ivs: None)
         monkeypatch.setattr(census, "_WORKER_STATE", {})
         for n in range(1, 9):
-            census._worker_init(n, False, None)
+            census._worker_init(n, None)
             weights = sum(census._scan_chunk(c)["zeros"] for c in census._chunks(n))
             assert weights == math.factorial(n), n
 

@@ -144,6 +144,11 @@ class TestCensus:
         assert out == "" and err.startswith("error:")
         assert audit.read_text() == "kept\n"
 
+    def test_refused_run_makes_no_audit_file(self, capsys, tmp_path):
+        audit = tmp_path / "a.tsv"
+        assert run(capsys, "census", "--n", "0", "--audit", str(audit))[0] == EXIT_DOMAIN
+        assert not audit.exists()
+
     @pytest.mark.parametrize("flag", ["--audit", "--checkpoint"])
     def test_unwritable_file(self, capsys, tmp_path, flag):
         path = tmp_path / "missing" / "f"
@@ -168,6 +173,16 @@ class TestCensus:
         monkeypatch.setattr(census, "LevelTables", built.append)
         path = tmp_path / "missing" / "ck.json"
         code, out, err = run(capsys, "census", "--n", "4", "--checkpoint", str(path))
+        assert (code, out, built) == (EXIT_DOMAIN, "", [])
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_unwritable_audit_refused_before_the_level_build(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        built = []
+        monkeypatch.setattr(census, "LevelTables", built.append)
+        path = tmp_path / "missing" / "a.tsv"
+        code, out, err = run(capsys, "census", "--n", "4", "--audit", str(path))
         assert (code, out, built) == (EXIT_DOMAIN, "", [])
         assert err.startswith("error: ") and str(path) in err
 

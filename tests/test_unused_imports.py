@@ -10,9 +10,11 @@ function, class or assignment at module level (``_name``, not a dunder)
 fails when no module of the package reads it, imports it or takes it as an
 attribute.  No library module but ``mobius.py`` imports the private
 functions of the bit-plane kernel, whose format that module owns; the list
-of them is read from that module's source.
+of them is read from that module's source.  An import marked as kept must
+name a function that ``bench/tracing.py`` patches on that module.
 """
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -55,6 +57,47 @@ def test_guard_catches_a_leftover_import():
     assert unused_imports(source) == ["line 1: BUDGET_BYTES"]
     kept = "from .permcore import BUDGET_BYTES  # noqa: F401\n"
     assert unused_imports(kept) == []
+
+
+def kept_imports(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) for each name bound by an import marked ``# noqa: F401``."""
+    kept = []
+    for module, source in sources.items():
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                statement = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+                if "# noqa: F401" in statement:
+                    kept += [(module, a.asname or a.name.split(".")[0]) for a in node.names]
+    return sorted(kept)
+
+
+def test_kept_imports_are_patched_by_the_tracer():
+    # an import kept only for the benchmark's tracer goes once the tracer
+    # stops patching that name on that module; its source is compiled in
+    # memory, as in test_bench_names.py
+    tracing_path = TESTS.parent / "bench" / "tracing.py"
+    tracing = types.ModuleType("bench_tracing")
+    exec(compile(tracing_path.read_text(), str(tracing_path), "exec"), tracing.__dict__)
+    patched = {(module, name) for module, name, _ in tracing.LAYER_PATCHES}
+    sources = {p.stem: p.read_text() for p in MODULES}
+    kept = kept_imports(sources)
+    assert kept == [
+        ("census", "certify_zero"),
+        ("census", "is_simple"),
+        ("mobius", "down_set"),
+        ("verify", "apply_symmetry"),
+        ("verify", "contains"),
+    ]
+    assert [pair for pair in kept if pair not in patched] == []
+
+
+def test_guard_finds_a_kept_import():
+    sources = {
+        "a": "from .b import (  # noqa: F401\n    x,\n    y as z,\n)\nimport os\n",
+        "b": "import sys  # noqa: F401\n",
+    }
+    assert kept_imports(sources) == [("a", "x"), ("a", "z"), ("b", "sys")]
 
 
 #: The private functions of the bit-plane kernel, as ``mobius.py`` defines them.
