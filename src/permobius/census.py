@@ -2,7 +2,8 @@
 
 The density sweep for length n first builds ``mobius.LevelTables(n)``: the
 values mu(1, tau) of every tau shorter than n, in the bit-plane layout of
-the interval walk, which that class describes.
+the interval walk, which that class describes; ``build_principal_table``
+returns such tables.
 
 The scan evaluates one representative per orbit of the 8 symmetries
 (weighted by orbit size) and partitions S_n into the n(n-1) chunks of
@@ -11,7 +12,8 @@ so results are byte-identical for any worker count.  A chunk visits only
 orbit candidates: permutations whose first entry is at most the first
 entry of each of their 8 images, read off pi[0], pi[-1] and the positions
 of 1 and n.  Only those have their 8 images built.  After the scan the
-workers read the audit file's lines, one per pi, off the level tables.
+workers read the audit file's lines, one per pi, off the level tables;
+both passes map the chunks in order (``map``, or the pool's ``imap``).
 
 Each representative's intervals are scanned once, and that list gives its
 simplicity, its adjacencies and, for a zero, its certificate
@@ -34,12 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
-from .permcore import Perm, PermError, fmt, intervals, symmetric_images, symmetry_orbit
-from .mobius import LevelTables, MobiusCache, principal_mobius
+from .permcore import Perm, PermError, fmt, intervals, symmetric_images
+from .mobius import LevelTables, principal_mobius
 from .zerorules import ANNIHILATOR_PAIRS, BASE_ANNIHILATORS, _certify
 
 # Unused here; bench/tracing.py patches these names on this module.
-from .permcore import is_simple  # noqa: F401
+from .permcore import is_simple, symmetry_orbit  # noqa: F401
 from .zerorules import certify_zero  # noqa: F401
 
 #: Default cap for the density sweep; longer runs need an explicit opt-in.
@@ -132,19 +134,11 @@ def adjacency_counts(n: int) -> tuple[int, int, int]:
 # Density sweep.
 
 
-def build_principal_table(n_max: int, cache: Optional[MobiusCache] = None) -> MobiusCache:
-    """Mobius cache holding mu(1, pi) for every pi with 2 <= |pi| <= n_max.
-
-    Filled from the level tables, one entry per symmetry class.
-    """
-    if cache is None:
-        cache = MobiusCache()
-    tables = LevelTables(max(n_max, 1))
-    for n in range(2, n_max + 1):
-        for pi in itertools.permutations(range(1, n + 1)):
-            if pi == min(symmetry_orbit(pi)):
-                cache.put(pi, tables.mobius(pi))
-    return cache
+def build_principal_table(n_max: int) -> LevelTables:
+    """The level tables for n_max (at least 1): as the ``cache`` of
+    ``principal_mobius`` they serve mu(1, pi) for every |pi| <= n_max.
+    Kept by name because bench/run.py times it."""
+    return LevelTables(max(n_max, 1))
 
 
 def _chunks(n: int) -> list[Perm]:
@@ -217,13 +211,13 @@ def _scan_chunk(prefix: Perm) -> dict:
     return {"chunk": prefix, **counts}
 
 
-def _audit_chunk(prefix: Perm) -> tuple[Perm, str]:
+def _audit_chunk(prefix: Perm) -> str:
     """The audit lines of the permutations that start with ``prefix``, in
     lexicographic order, read off the level tables."""
     n, tables = _WORKER_STATE["n"], _WORKER_STATE["tables"]
     rest = [v for v in range(1, n + 1) if v not in prefix]
     perms = (prefix + tail for tail in itertools.permutations(rest))
-    return prefix, "".join(f"{fmt(pi)}\t{tables.mobius(pi)}\n" for pi in perms)
+    return "".join(f"{fmt(pi)}\t{tables.mobius(pi)}\n" for pi in perms)
 
 
 def _load_checkpoint(path: str, n: int) -> dict:
@@ -295,7 +289,8 @@ def zero_density(
     scan visits only orbit candidates and evaluates the least member of each
     symmetry orbit, weighted by the orbit's size.  Once the row has passed
     its checks, the workers read the audit lines, one per permutation of
-    S_n, off the tables.  ``long_run`` must be set for n above the desk cap.
+    S_n, off the tables, in prefix order.  ``long_run`` must be set for n
+    above the desk cap.
     Raises BudgetError when the level tables would pass
     ``permcore.BUDGET_BYTES``, and AssertionError when the scan's
     adjacency-free and opposing-adjacency counts are not the recurrences'
@@ -324,7 +319,9 @@ def zero_density(
             pool = multiprocessing.Pool(
                 min(workers, len(pending)), initializer=_worker_init, initargs=(n, tables)
             )
-            scan = stack.enter_context(pool).imap_unordered
+            # ordered like map: the audit needs prefix order, and the scan's
+            # results are keyed by chunk, so order only times their saves
+            scan = stack.enter_context(pool).imap
         for res in scan(_scan_chunk, pending):
             results[res["chunk"]] = res
             if checkpoint:
@@ -340,7 +337,7 @@ def zero_density(
                 f"scan (b, s)=({adjacency_free},{opposing}) rec=({b},{s})"
             )
         if audit_file is not None:  # in prefix order: S_n in lexicographic order
-            audit_file.writelines(text for _, text in sorted(scan(_audit_chunk, chunks)))
+            audit_file.writelines(scan(_audit_chunk, chunks))
     return CensusRow(
         n=n,
         total=math.factorial(n),

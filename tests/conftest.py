@@ -10,5 +10,5 @@ from permobius.census import build_principal_table
 
 @pytest.fixture(scope="session")
 def mu_table7():
-    """Shared principal-Mobius cache covering every permutation of length <= 7."""
+    """Shared level tables for 7, a principal-Mobius cache of every length <= 7."""
     return build_principal_table(7)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import sys
 
 import pytest
@@ -11,6 +13,38 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def wrong_b6(monkeypatch):
+    """The adjacency-free recurrence off by one at n = 6, as in
+    test_census.py::TestRecurrences::test_wrong_recurrence_raises."""
+    right = census.adjacency_free_recurrence
+
+    def wrong(n_max):
+        values = right(n_max)
+        if n_max >= 6:
+            values[6] += 1
+        return values
+
+    monkeypatch.setattr(census, "adjacency_free_recurrence", wrong)
+
+
+STRETCH = pytest.mark.skipif(
+    os.environ.get("PERMOBIUS_STRETCH") != "1",
+    reason="stretch; set PERMOBIUS_STRETCH=1 to run (about 5 s on one worker)",
+)
+
+#: sha256 of the audit file of census --n N: S_N in lexicographic order
+AUDIT_SHA256 = {
+    8: "54218af6a6641238fcd17a2b2ecdaa016fae97c77aa37e183b738099199e9128",
+    9: "e36bf9b74d4168b84471a4c537399f96b462c23cbccbf3fd9bb3e2c43282fc26",
+}
+
+SELF_CHECK_ERROR = (
+    "error: scan/recurrence disagreement at n=6: "
+    "scan (b, s)=(90,192) rec=(91,193)\n"
+)
 
 
 class TestEvaluation:
@@ -130,6 +164,16 @@ class TestCensus:
         assert len(lines) == 24
         assert sum(1 for ln in lines if ln.endswith("\t0")) == 10
 
+    @pytest.mark.parametrize(
+        "n, workers",
+        [(8, 2), pytest.param(9, 1, marks=STRETCH), pytest.param(9, 2, marks=STRETCH)],
+    )
+    def test_audit_bytes_are_pinned(self, capsys, tmp_path, n, workers):
+        audit = tmp_path / "a.tsv"
+        argv = ["census", "--n", str(n), "--workers", str(workers), "--audit", str(audit)]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert hashlib.sha256(audit.read_bytes()).hexdigest() == AUDIT_SHA256[n]
+
     def test_desk_cap(self, capsys):
         code, _, err = run(capsys, "census", "--n", "10")
         assert code == EXIT_DOMAIN
@@ -208,6 +252,35 @@ class TestCensus:
         assert code == EXIT_BUDGET
         assert err.startswith("error:") and out == ""
 
+    def test_self_check_failure_is_a_verification_failure(self, capsys, wrong_b6):
+        code, out, err = run(capsys, "census", "--n", "6")
+        assert (code, out, err) == (EXIT_VERIFY, "", SELF_CHECK_ERROR)
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "present"])
+    @pytest.mark.parametrize("spelling", ["F", "sub/../F", "link"])
+    def test_audit_and_checkpoint_on_one_file_refused(
+        self, capsys, monkeypatch, tmp_path, existing, spelling
+    ):
+        # refused before the level build, with the file neither made nor changed;
+        # the checkpoint path is compared after ``..`` and symlinks resolve
+        built = []
+        monkeypatch.setattr(census, "LevelTables", built.append)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to("F")
+        if existing:
+            (tmp_path / "F").write_text("kept\n")
+        code, out, err = run(
+            capsys, "census", "--n", "4", "--checkpoint", spelling, "--audit", "F"
+        )
+        assert (code, out, built) == (EXIT_DOMAIN, "", [])
+        assert err == "error: --audit and --checkpoint name the same file\n"
+        if existing:
+            assert (tmp_path / "F").read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["sub", "link"] + ["F"] * existing
+        )
+
     def corrupt_checkpoint(self, capsys, path, edit):
         # a finished checkpoint of census --n 5, corrupted by ``edit``
         assert run(capsys, "census", "--n", "5", "--checkpoint", str(path))[0] == EXIT_OK
@@ -282,6 +355,10 @@ class TestTable:
             code, out, err = run(capsys, "table", "--nmax", nmax)
             assert code == EXIT_DOMAIN
             assert err.startswith("error:") and out == ""
+
+    def test_self_check_failure_is_a_verification_failure(self, capsys, wrong_b6):
+        code, out, err = run(capsys, "table", "--nmax", "6")
+        assert (code, out, err) == (EXIT_VERIFY, "", SELF_CHECK_ERROR)
 
     def test_workers_below_one(self, capsys):
         code, out, err = run(capsys, "table", "--nmax", "4", "--workers", "0")

@@ -44,6 +44,7 @@ COMMANDS = (
         ["census", "--n", "6", "--workers", "2"],
         ["census", "--n", "0"],
         ["census", "--n", "5", "--audit", "{tmp}/audit.tsv"],
+        ["census", "--n", "4", "--checkpoint", "{tmp}/f", "--audit", "{tmp}/f"],
         ["table", "--nmax", "7"],
         ["verify", "--nmax", "1"],
         ["verify", "--nmax", "7"],
@@ -158,6 +159,7 @@ GOLDEN = {
     "census --n 6 --workers 2": "37de54ef306625158ef22582597be53384ee5877753b6cc0a760f72333382f5a",
     "census --n 0": "d9513784b6c897c6a0ef936fbd721581584bb7677ca62a140b56b29afe109ee2",
     "census --n 5 --audit '{tmp}/audit.tsv'": "83e421f78862aa4c652e7ce60353c9d4e3301b2d9fc5b46d8a1b9b50ca23a252",
+    "census --n 4 --checkpoint '{tmp}/f' --audit '{tmp}/f'": "5dcacc825f96a465e8fa6b2c8a2fef0aa9ef4e753c9dbf8d1eff7fe93db9dce1",
     "table --nmax 7": "baed1fd3f92f7e51c5c56c19ebd28131bf867d64bfb9aead45b6e79f955f22e4",
     "verify --nmax 1": "de727bd8469fabf763ca6296a7bbfcd1b6bb673a2d78ba7a496cf9e9ceaa5dfd",
     "verify --nmax 7": "a520ab98f5df0d8e28ceda5cfc7dcf2210baee96af7b16261dd2da9e90d13681",

@@ -85,6 +85,7 @@ def test_kept_imports_are_patched_by_the_tracer():
     assert kept == [
         ("census", "certify_zero"),
         ("census", "is_simple"),
+        ("census", "symmetry_orbit"),
         ("mobius", "down_set"),
         ("verify", "apply_symmetry"),
         ("verify", "contains"),
